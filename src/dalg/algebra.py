@@ -3,9 +3,10 @@
 An algebra is a structure tensor ``tensor[i][j]`` (coordinates of e_i e_j),
 a differential matrix ``dmat`` (column j holds d(e_j)), and the index of
 the basis vector equal to 1 (index 0 by convention everywhere in this
-package).  :class:`AssocAlgebra2` checks associativity, the unit laws and
-that d is a square-zero derivation; :class:`DAlgebra` additionally demands
-the twisted commutation law
+package).  :class:`StructureConstants` holds the tensor and d, shared with
+the brackets of :mod:`dalg.lie`.  :class:`AssocAlgebra2` checks
+associativity, the unit laws and that d is a square-zero derivation;
+:class:`DAlgebra` additionally demands the twisted commutation law
 
     a b = b a + d(b) d(a)
 
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from .errors import (
-    BadDifferential,
     DimensionMismatch,
     NotApplicable,
     NotDIdeal,
@@ -46,13 +46,6 @@ Tensor = list  # tensor[i][j] is the coordinate vector of e_i * e_j
 
 def vec_xor(a: Sequence[Fe], b: Sequence[Fe]) -> Vec:
     return [x ^ y for x, y in zip(a, b)]
-
-
-def vec_scale(ctx: FieldCtx, c: Fe, v: Sequence[Fe]) -> Vec:
-    if c == 1:
-        return list(v)
-    mul = ctx.mul
-    return [mul(c, x) if x else 0 for x in v]
 
 
 @dataclass
@@ -80,10 +73,6 @@ class AxiomReport:
     def record(self, axiom: str, witness: tuple, lhs: Sequence[Fe], rhs: Sequence[Fe]) -> None:
         self.failures.append(AxiomFailure(axiom, witness, tuple(lhs), tuple(rhs)))
 
-    def merge(self, other: "AxiomReport") -> None:
-        self.failures.extend(other.failures)
-        self.notes.extend(other.notes)
-
     def __str__(self) -> str:
         if self.passed:
             return f"{self.kind}: all axioms hold"
@@ -92,53 +81,35 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-class AssocAlgebra2:
-    """Associative unital algebra with a square-zero derivation.
+class StructureConstants:
+    """A bilinear product given by structure constants, plus a differential.
 
     Parameters
     ----------
     ctx : FieldCtx
     tensor : n x n grid of coordinate vectors, tensor[i][j] = e_i e_j
     dmat : Matrix or rows, column j holding d(e_j)
-    unit_idx : index of the basis vector equal to 1
     """
 
-    kind = "assoc2"
-
-    def __init__(self, ctx: FieldCtx, tensor: Tensor, dmat, unit_idx: int = 0):
+    def __init__(self, ctx: FieldCtx, tensor: Tensor, dmat):
         n = len(tensor)
         for row in tensor:
             if len(row) != n or any(len(v) != n for v in row):
                 raise ShapeMismatch("structure tensor must be n x n x n")
-        if isinstance(dmat, Matrix):
-            if dmat.nrows != n or dmat.ncols != n:
-                raise ShapeMismatch("differential matrix must be n x n")
-        else:
+        if not isinstance(dmat, Matrix):
             dmat = Matrix(ctx, dmat, n)
-            if dmat.nrows != n or dmat.ncols != n:
-                raise ShapeMismatch("differential matrix must be n x n")
-        if not 0 <= unit_idx < n:
-            raise ShapeMismatch("unit index out of range")
+        if dmat.nrows != n or dmat.ncols != n:
+            raise ShapeMismatch("differential matrix must be n x n")
         self.ctx = ctx
         self.n = n
         self.tensor = [[list(v) for v in row] for row in tensor]
         self.dmat = dmat
-        self.unit_idx = unit_idx
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, k={self.ctx.k})"
 
-    def unit_vec(self) -> Vec:
-        v = [0] * self.n
-        v[self.unit_idx] = 1
-        return v
-
-    def zero_vec(self) -> Vec:
-        return [0] * self.n
-
-    def mul(self, a: Sequence[Fe], b: Sequence[Fe]) -> Vec:
-        ctx = self.ctx
-        mul = ctx.mul
+    def _product(self, a: Sequence[Fe], b: Sequence[Fe]) -> Vec:
+        mul = self.ctx.mul
         out = [0] * self.n
         for i, ai in enumerate(a):
             if not ai:
@@ -162,8 +133,38 @@ class AssocAlgebra2:
         v[i] = 1
         return v
 
+    def zero_vec(self) -> Vec:
+        return [0] * self.n
+
     def rand_vec(self, rng) -> Vec:
         return [self.ctx.rand(rng) for _ in range(self.n)]
+
+    def ker_d(self) -> Subspace:
+        return Subspace(self.ctx, self.n, nullspace_rows(self.ctx, self.dmat.rows, self.n))
+
+    def im_d(self) -> Subspace:
+        return Subspace(self.ctx, self.n, [self.dmat.col(j) for j in range(self.n)])
+
+
+class AssocAlgebra2(StructureConstants):
+    """Associative unital algebra with a square-zero derivation.
+
+    ``unit_idx`` is the index of the basis vector equal to 1.
+    """
+
+    kind = "assoc2"
+
+    def __init__(self, ctx: FieldCtx, tensor: Tensor, dmat, unit_idx: int = 0):
+        super().__init__(ctx, tensor, dmat)
+        if not 0 <= unit_idx < self.n:
+            raise ShapeMismatch("unit index out of range")
+        self.unit_idx = unit_idx
+
+    def unit_vec(self) -> Vec:
+        return self.basis_vec(self.unit_idx)
+
+    def mul(self, a: Sequence[Fe], b: Sequence[Fe]) -> Vec:
+        return self._product(a, b)
 
     # -- verification -------------------------------------------------------
 
@@ -210,12 +211,6 @@ class AssocAlgebra2:
 
     # -- derived subspaces --------------------------------------------------
 
-    def ker_d(self) -> Subspace:
-        return Subspace(self.ctx, self.n, nullspace_rows(self.ctx, self.dmat.rows, self.n))
-
-    def im_d(self) -> Subspace:
-        return Subspace(self.ctx, self.n, [self.dmat.col(j) for j in range(self.n)])
-
     def center(self) -> Subspace:
         # solve x e_i = e_i x for all i: stack (L_i - R_i) and take the kernel
         rows = []
@@ -231,10 +226,6 @@ class AssocAlgebra2:
 
     def _right_mult_rows(self, i: int) -> list[Vec]:
         return [[self.tensor[j][i][m] for j in range(self.n)] for m in range(self.n)]
-
-    def left_mult_matrix(self, a: Sequence[Fe]) -> Matrix:
-        cols = [self.mul(a, self.basis_vec(j)) for j in range(self.n)]
-        return Matrix.from_cols(self.ctx, cols)
 
     def is_commutative(self) -> tuple[int, int] | None:
         """None when commutative, else the first noncommuting basis pair."""
@@ -586,8 +577,3 @@ def embed_algebra(a: AssocAlgebra2, big_ctx: FieldCtx, embed) -> AssocAlgebra2:
     tensor = [[[embed(x) for x in v] for v in row] for row in a.tensor]
     drows = [[embed(x) for x in r] for r in a.dmat.rows]
     return type(a)(big_ctx, tensor, Matrix(big_ctx, drows, a.n), a.unit_idx)
-
-
-def check_differential(ctx: FieldCtx, dmat: Matrix) -> None:
-    if not dmat.mul(dmat).is_zero():
-        raise BadDifferential("differential does not square to zero")

@@ -24,7 +24,8 @@ word-length bound where the command uses one), ``--trials T``,
 ``key: value`` reports; ``human`` adds indented failure detail.
 
 Exit codes: 0 all checks passed, 2 unreadable or inapplicable input,
-3 axiom or independence failure, 4 theorem violation on concrete data,
+including a presentation whose degree bound is too small, 3 axiom or
+independence failure, 4 theorem violation on concrete data,
 5 the computation needs a field extension (reported, never applied
 silently; ``classify7`` extends on its own because its contract allows
 one doubling).
@@ -41,6 +42,7 @@ from .dim7 import normalize7
 from .dsl import parse_presentation, to_source
 from .errors import (
     AxiomsFailed,
+    DalgError,
     NeedsExtension,
     TheoremViolation,
 )
@@ -48,7 +50,7 @@ from .formats import loads
 from .gf2k import field
 from .lie import LieAlgebra2, jacobi_seven_term_check, verify_lie
 from .pbw import confluence_test, ordered_for_straightening, standard_count, verify_pbw
-from .linalg import Subspace
+from .linalg import Subspace, span_closure
 from .polyd import present, quotient_to_dalgebra
 from .structure import decompose, is_local
 
@@ -179,15 +181,10 @@ def cmd_classify7(obj, out: Output, args) -> int:
 
 
 def _generated_span(a, gens) -> Subspace:
-    span = Subspace(a.ctx, a.n, [a.unit_vec()] + gens)
-    while True:
-        rows = list(span.rows)
-        new = [a.mul(u, v) for u in rows for v in rows]
-        new += [a.d(u) for u in rows]
-        bigger = Subspace(a.ctx, a.n, rows + new)
-        if bigger.dim == span.dim:
-            return span
-        span = bigger
+    return span_closure(
+        a.ctx, a.n, [a.unit_vec()] + gens,
+        lambda rows: [a.mul(u, v) for u in rows for v in rows] + [a.d(u) for u in rows],
+    )
 
 
 def _greedy_generators(a) -> list:
@@ -302,7 +299,7 @@ def main(argv=None) -> int:
         out.kv("error", "theorem-violation")
         out.kv("message", e)
         code = EXIT_THEOREM
-    except (ValueError, OSError) as e:
+    except (DalgError, ValueError, OSError) as e:
         out.kv("error", "input")
         out.kv("message", e)
         code = EXIT_INPUT

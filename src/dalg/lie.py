@@ -18,12 +18,12 @@ from typing import Sequence
 from .algebra import (
     AssocAlgebra2,
     AxiomReport,
-    Tensor,
+    StructureConstants,
     vec_xor,
 )
 from .errors import BadDifferential, ShapeMismatch, TheoremViolation
 from .gf2k import Fe, FieldCtx
-from .linalg import CoordSolver, Matrix, Subspace, Vec, nullspace_rows
+from .linalg import CoordSolver, Matrix, Vec
 
 __all__ = [
     "LieAlgebra2",
@@ -35,76 +35,17 @@ __all__ = [
 ]
 
 
-class LieAlgebra2:
-    """A bilinear bracket plus a differential, on coordinate vectors.
-
-    Parameters
-    ----------
-    ctx : FieldCtx
-    tensor : n x n grid of coordinate vectors, tensor[i][j] = [e_i, e_j]
-    dmat : Matrix or rows, column j holding d(e_j)
-    """
+class LieAlgebra2(StructureConstants):
+    """A bilinear bracket plus a differential; tensor[i][j] = [e_i, e_j]."""
 
     kind = "lie2"
 
-    def __init__(self, ctx: FieldCtx, tensor: Tensor, dmat):
-        n = len(tensor)
-        for row in tensor:
-            if len(row) != n or any(len(v) != n for v in row):
-                raise ShapeMismatch("bracket tensor must be n x n x n")
-        if not isinstance(dmat, Matrix):
-            dmat = Matrix(ctx, dmat, n)
-        if dmat.nrows != n or dmat.ncols != n:
-            raise ShapeMismatch("differential matrix must be n x n")
-        self.ctx = ctx
-        self.n = n
-        self.tensor = [[list(v) for v in row] for row in tensor]
-        self.dmat = dmat
-
-    def __repr__(self) -> str:
-        return f"LieAlgebra2(n={self.n}, k={self.ctx.k})"
-
-    def zero_vec(self) -> Vec:
-        return [0] * self.n
-
-    def basis_vec(self, i: int) -> Vec:
-        v = [0] * self.n
-        v[i] = 1
-        return v
-
-    def rand_vec(self, rng) -> Vec:
-        return [self.ctx.rand(rng) for _ in range(self.n)]
-
     def bracket(self, a: Sequence[Fe], b: Sequence[Fe]) -> Vec:
-        ctx = self.ctx
-        mul = ctx.mul
-        out = [0] * self.n
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            ti = self.tensor[i]
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                c = mul(ai, bj)
-                row = ti[j]
-                for m, rm in enumerate(row):
-                    if rm:
-                        out[m] ^= mul(c, rm)
-        return out
-
-    def d(self, a: Sequence[Fe]) -> Vec:
-        return self.dmat.mul_vec(a)
+        return self._product(a, b)
 
     def ad_matrix(self, x: Sequence[Fe]) -> Matrix:
         cols = [self.bracket(x, self.basis_vec(j)) for j in range(self.n)]
         return Matrix.from_cols(self.ctx, cols, self.n)
-
-    def ker_d(self) -> Subspace:
-        return Subspace(self.ctx, self.n, nullspace_rows(self.ctx, self.dmat.rows, self.n))
-
-    def im_d(self) -> Subspace:
-        return Subspace(self.ctx, self.n, [self.dmat.col(j) for j in range(self.n)])
 
     def is_abelian(self) -> bool:
         return all(not any(v) for row in self.tensor for v in row)

@@ -24,7 +24,7 @@ from .errors import (
     RelationsNotDClosed,
 )
 from .gf2k import Fe, FieldCtx
-from .linalg import Matrix, Subspace, nullspace_rows, rref_rows
+from .linalg import Matrix, nullspace_rows, rref_rows, span_closure
 
 __all__ = [
     "PMono",
@@ -463,16 +463,9 @@ def present(a: DAlgebra, gens: Sequence[Sequence[Fe]], bound: int) -> Presentati
     pa = PAlgebra(ctx, len(xs), len(ys))
 
     mults = [list(g) for g in gens] + [a.d(g) for g in xs]
-    span = Subspace(ctx, a.n, [a.unit_vec()] + mults)
-    while True:
-        new = list(span.rows)
-        for r in span.rows:
-            for m in mults:
-                new.append(a.mul(r, m))
-        grown = Subspace(ctx, a.n, new)
-        if grown.dim == span.dim:
-            break
-        span = grown
+    span = span_closure(
+        ctx, a.n, [a.unit_vec()] + mults, lambda rows: [a.mul(r, m) for r in rows for m in mults]
+    )
     if span.dim < a.n:
         raise NotGenerating(f"generators span a proper subalgebra of dimension {span.dim}")
 

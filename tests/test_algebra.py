@@ -7,10 +7,13 @@ import random
 import pytest
 
 from dalg import (
+    AssocAlgebra2,
     DAlgebra,
+    LieAlgebra2,
     Matrix,
     NotApplicable,
     NotDIdeal,
+    ShapeMismatch,
     Subspace,
     change_basis,
     compose,
@@ -231,3 +234,21 @@ def test_embed_algebra_preserves_axioms():
     assert up.ctx is big
     assert up.verify().passed
     assert defect(up) == defect(alg)
+
+
+@pytest.mark.parametrize("cls", [AssocAlgebra2, LieAlgebra2])
+def test_constructor_rejects_bad_shapes(cls):
+    ctx = field(1)
+    tensor = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    dmat = [[0, 0], [0, 0]]
+    assert cls(ctx, tensor, dmat).n == 2
+    with pytest.raises(ShapeMismatch, match="structure tensor must be n x n x n"):
+        cls(ctx, [[[0, 0], [0]], [[0, 0], [0, 0]]], dmat)
+    wide = [[0, 0, 0], [0, 0, 0]]
+    for bad in (Matrix(ctx, wide), wide):
+        with pytest.raises(ShapeMismatch, match="differential matrix must be n x n"):
+            cls(ctx, tensor, bad)
+    if cls is AssocAlgebra2:
+        for idx in (-1, 2):
+            with pytest.raises(ShapeMismatch, match="unit index out of range"):
+                cls(ctx, tensor, dmat, idx)

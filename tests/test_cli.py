@@ -75,10 +75,14 @@ def test_corrupt_file_exits_3(capsys, monkeypatch):
 
 
 def test_malformed_dsl_exits_2(capsys, monkeypatch):
-    code, text = run(capsys, ["check", "-"], "P(2/", monkeypatch)
-    assert code == 2
-    got = kv(text)
-    assert got["error"] == "input" and "line 1, column 4" in got["message"]
+    for argv, source, hint in (
+        (["check", "-"], "P(2/", "line 1, column 4"),
+        (["invariants", "-"], "P(1,0) / [] @ deg 2", "raise the bound"),
+    ):
+        code, text = run(capsys, argv, source, monkeypatch)
+        assert code == 2
+        got = kv(text)
+        assert got["error"] == "input" and hint in got["message"]
 
 
 def test_missing_file_exits_2(capsys):
