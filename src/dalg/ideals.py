@@ -129,7 +129,7 @@ def is_coprime(i: DIdeal, j: DIdeal) -> bool:
     return ideal_sum(i, j).is_whole()
 
 
-def nilpotency_index(i: DIdeal, max_steps: int | None = None) -> int | None:
+def nilpotency_index(i: DIdeal) -> int | None:
     """Least m with I^m = 0, or None when the powers stabilize nonzero.
 
     Power dimensions are weakly decreasing; equal consecutive dimensions
@@ -140,8 +140,7 @@ def nilpotency_index(i: DIdeal, max_steps: int | None = None) -> int | None:
         return 1
     cur = i
     m = 1
-    limit = max_steps if max_steps is not None else i.dim + 1
-    while m <= limit:
+    while m <= i.dim + 1:
         nxt = ideal_product(i, cur)
         if nxt.is_zero():
             return m + 1

@@ -217,13 +217,7 @@ def solve_lex_least(ctx: FieldCtx, mat: Matrix, b: Sequence[Fe]) -> Vec:
     Obtained by clearing the particular solution at every pivot column of
     the kernel's RREF; zeros there pin down the lex-least coset member.
     """
-    x = solve(ctx, mat, b)
-    null, npiv = rref_rows(ctx, mat.nullspace())
-    for row, p in zip(null, npiv):
-        f = x[p]
-        if f:
-            x = [a ^ ctx.mul(f, r) if r else a for a, r in zip(x, row)]
-    return x
+    return Subspace(ctx, mat.ncols, mat.nullspace()).reduce(solve(ctx, mat, b))
 
 
 class Subspace:

@@ -152,12 +152,11 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def poly_roots(p: UniPoly, ctx: FieldCtx | None = None) -> tuple[Fe, ...]:
+def poly_roots(p: UniPoly) -> tuple[Fe, ...]:
     """Distinct roots in the coefficient field, by exhaustive scan."""
-    ctx = ctx or p.ctx
     if p.is_zero():
         raise NotApplicable("zero polynomial has every element as a root")
-    return tuple(t for t in range(ctx.order) if p(t) == 0)
+    return tuple(t for t in range(p.ctx.order) if p(t) == 0)
 
 
 def _poly_even_sqrt(p: UniPoly) -> UniPoly:

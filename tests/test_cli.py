@@ -1,6 +1,7 @@
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,11 @@ from dalg.dim7 import make_D, normalize7
 from helpers import gf4_over_gf2_algebra, truncated_poly_algebra
 
 D_SOURCE = "P(2,0) / [x1^2, x2^2, x1*x2, xi1*x1, xi2*x2, xi1*x2 + xi2*x1] @ deg 4"
+RANK3_DEG5 = (
+    "P(3,0) / [x1^2, x2^2, x3^2, x1 x2, x1 x3, x2 x3, xi1 x1, xi2 x2, xi3 x3,"
+    " xi1 x2 + xi2 x1, xi1 x3 + xi3 x1, xi2 x3 + xi3 x2] @ deg 5"
+)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -174,6 +180,26 @@ def test_present_round_trips_through_the_dsl(capsys, monkeypatch):
     assert (got["rank r"], got["rank s"]) == ("2", "0")
     again = quotient_to_dalgebra(parse_presentation(got["source"], field(1)))
     assert again.n == 7 and again.verify().passed
+
+
+def d_times_t2_text():
+    ctx = field(1)
+    p, _, _ = direct_product(make_D(ctx, 0, 0, 0), truncated_poly_algebra(ctx, 2))
+    return dumps(p)
+
+
+@pytest.mark.parametrize(
+    "golden, argv, source",
+    [
+        ("present_d_t2", ["present", "-"], d_times_t2_text),
+        ("invariants_rank3_deg5", ["invariants", "-"], lambda: RANK3_DEG5),
+        ("check_d_not_closed", ["check", "-"], lambda: "P(1,0) / [x1^3 + xi1 x1] @ deg 5"),
+    ],
+)
+def test_report_matches_golden(golden, argv, source, capsys, monkeypatch):
+    # recorded once; reports, relation order and messages must not drift
+    _, text = run(capsys, argv, source(), monkeypatch)
+    assert text == (GOLDEN / f"{golden}.txt").read_text()
 
 
 def test_pbw_verify_and_counts(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from dalg import (
     subspace_quotient_reps,
     subspace_sum,
 )
+from dalg.linalg import solve_lex_least
 
 
 def rand_matrix(ctx, rng, nrows, ncols):
@@ -68,6 +70,19 @@ def test_solve_roundtrip_and_inconsistent():
     m = Matrix(ctx, [[1, 0], [1, 0]], 2)
     with pytest.raises(Inconsistent):
         solve(ctx, m, [1, 2])
+
+
+def test_solve_lex_least_is_least_of_all_solutions():
+    # every x in F^n is tried, so each system is checked exhaustively
+    rng = random.Random(29)
+    for k in (1, 2):
+        ctx = field(k)
+        for _ in range(150):
+            m = rand_matrix(ctx, rng, rng.randrange(1, 5), rng.randrange(1, 5))
+            b = m.mul_vec([ctx.rand(rng) for _ in range(m.ncols)])
+            every = itertools.product(range(ctx.order), repeat=m.ncols)
+            least = min(list(x) for x in every if m.mul_vec(x) == b)
+            assert solve_lex_least(ctx, m, b) == least
 
 
 def test_inverse():
