@@ -16,6 +16,7 @@ extending the field once when the quadratic k t^2 + t + h has no roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import (
     DAlgebra,
@@ -26,7 +27,7 @@ from .algebra import (
     verify_morphism,
 )
 from .errors import NeedsExtension, NotApplicable, TheoremViolation
-from .gf2k import Fe, FieldCtx, fe_sqrt, field_extend, quad_roots
+from .gf2k import Fe, FieldCtx, fe_sqrt, field, field_extend, quad_roots
 from .linalg import CoordSolver, Matrix, Subspace
 from .polyd import PAlgebra, Presentation, quotient_to_dalgebra
 
@@ -40,20 +41,11 @@ __all__ = [
     "Normal7Result",
 ]
 
-# basis labels of every D(h, k, p), in quotient order
-_D_LABELS = ["1", "xi1", "xi2", "x1", "x2", "xi1 xi2", "xi1 x2"]
-
 _make_cache: dict = {}
 
 
-def make_D(ctx: FieldCtx, h: Fe, k: Fe, p: Fe) -> DAlgebra:
-    """The family member D(h, k, p), verified, cached per field and triple."""
-    key = (id(ctx), h, k, p)
-    hit = _make_cache.get(key)
-    if hit is not None:
-        return hit[1]
-    for c in (h, k, p):
-        ctx.check(c)
+def _quotient_D(ctx: FieldCtx, h: Fe, k: Fe, p: Fe) -> DAlgebra:
+    # D(h, k, p) from its presentation; basis 1, xi1, xi2, x1, x2, xi1 xi2, xi1 x2
     pa = PAlgebra(ctx, 2, 0)
     x1, x2, xi1, xi2 = pa.x(1), pa.x(2), pa.xi(1), pa.xi(2)
     xx = xi1 * xi2
@@ -68,6 +60,51 @@ def make_D(ctx: FieldCtx, h: Fe, k: Fe, p: Fe) -> DAlgebra:
     alg = quotient_to_dalgebra(Presentation(pa, rels, 4))
     if alg.n != 7:
         raise TheoremViolation(f"D({h},{k},{p}) came out {alg.n}-dimensional")
+    return alg
+
+
+@lru_cache(maxsize=None)
+def _family_parts() -> tuple[DAlgebra, tuple]:
+    """D(0, 0, 0) over GF(2), and the entries each of h, k, p adds to.
+
+    The structure constants of D(h, k, p) are T0 + h Th + k Tk + p Tp with
+    0/1 tensors T, and d does not depend on the parameters, so these four
+    quotients give every member over every field.
+    """
+    gf2 = field(1)
+    base = _quotient_D(gf2, 0, 0, 0)
+    parts = []
+    for triple in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        t = _quotient_D(gf2, *triple).tensor
+        parts.append(tuple(
+            (i, j, m)
+            for i, row in enumerate(t)
+            for j, vec in enumerate(row)
+            for m, x in enumerate(vec)
+            if x != base.tensor[i][j][m]
+        ))
+    return base, tuple(parts)
+
+
+def make_D(ctx: FieldCtx, h: Fe, k: Fe, p: Fe) -> DAlgebra:
+    """The family member D(h, k, p), verified, cached per field and triple.
+
+    Built as T0 + h Th + k Tk + p Tp from :func:`_family_parts`; the cache
+    saves repeating ``verify`` for the triples a classification revisits.
+    """
+    key = (id(ctx), h, k, p)
+    hit = _make_cache.get(key)
+    if hit is not None:
+        return hit[1]
+    for c in (h, k, p):
+        ctx.check(c)
+    base, parts = _family_parts()
+    tensor = [[list(v) for v in row] for row in base.tensor]
+    for c, part in zip((h, k, p), parts):
+        for i, j, m in part:
+            tensor[i][j][m] ^= c
+    alg = DAlgebra(ctx, tensor, Matrix(ctx, base.dmat.rows), 0)
+    alg.basis_labels = base.basis_labels
     rep = alg.verify()
     if not rep.passed:
         raise TheoremViolation(f"D({h},{k},{p}) fails axioms: {rep.failures[:1]}")

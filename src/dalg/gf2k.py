@@ -17,6 +17,10 @@ owns the log/exp tables.  One modulus is shipped per degree:
 Every entry is primitive (the class of x generates the multiplicative
 group), which is what makes the discrete-log tables work; primitivity is
 asserted by the test suite.
+
+Nothing here scans the field: :func:`quad_roots` solves quadratics by a
+GF(2)-linear system and :func:`field_extend` looks for the root of a
+modulus in the subfield it must lie in.
 """
 
 from __future__ import annotations
@@ -176,13 +180,38 @@ def fe_sqrt(ctx: FieldCtx, a: Fe) -> Fe:
     return ctx.sqrt(a)
 
 
+@lru_cache(maxsize=None)
+def _artin_schreier_table(k: int) -> tuple:
+    """Pivot rows of the GF(2)-linear map u -> u^2 + u on GF(2^k).
+
+    Entry i is None or a pair (image, preimage) whose image has leading
+    bit i.  The map has kernel {0, 1}, so k - 1 entries are filled and
+    they span its image, which is the hyperplane of trace 0.
+    """
+    ctx = field(k)
+    rows: list = [None] * k
+    for bit in range(k):
+        pre = 1 << bit
+        img = ctx.sq(pre) ^ pre
+        while img:
+            top = img.bit_length() - 1
+            if rows[top] is None:
+                rows[top] = (img, pre)
+                break
+            img ^= rows[top][0]
+            pre ^= rows[top][1]
+    return tuple(rows)
+
+
 def quad_roots(ctx: FieldCtx, a: Fe, b: Fe, c: Fe) -> tuple[Fe, ...]:
     """Roots in GF(2^k) of a t^2 + b t + c, with a and b not both zero.
 
     Returns the sorted tuple of distinct roots.  Degenerate shapes are
-    solved in closed form (one root each); the genuine quadratic case
-    scans the whole field, which stays under 2^16 evaluations, and raises
-    :class:`NeedsExtension` when the root set is empty.
+    solved in closed form (one root each).  In the genuine quadratic case
+    t = (b/a) u turns the equation into u^2 + u = ac/b^2, a linear system
+    over GF(2) solved against a per-field table; it is solvable exactly
+    when Tr(ac/b^2) = 0 (Lidl & Niederreiter, Finite Fields, 3.4), and
+    :class:`NeedsExtension` is raised otherwise.
     """
     if a == 0 and b == 0:
         raise NotApplicable("quad_roots requires a or b nonzero")
@@ -191,37 +220,47 @@ def quad_roots(ctx: FieldCtx, a: Fe, b: Fe, c: Fe) -> tuple[Fe, ...]:
     if b == 0:
         # t^2 = c/a has exactly one root since squaring is bijective
         return (ctx.sqrt(ctx.div(c, a)),)
-    roots = []
-    mul = ctx.mul
-    sq = ctx.sq
-    for t in range(ctx.order):
-        if mul(a, sq(t)) ^ mul(b, t) ^ c == 0:
-            roots.append(t)
-    if not roots:
-        raise NeedsExtension(
-            f"a t^2 + b t + c has no root in GF(2^{ctx.k})",
-            suggested_k=2 * ctx.k,
-        )
-    return tuple(sorted(roots))
+    delta = ctx.div(ctx.mul(a, c), ctx.sq(b))
+    rows = _artin_schreier_table(ctx.k)
+    u = 0
+    while delta:
+        row = rows[delta.bit_length() - 1]
+        if row is None:
+            raise NeedsExtension(
+                f"{ctx.to_hex(a)} t^2 + {ctx.to_hex(b)} t + {ctx.to_hex(c)} has no "
+                f"root in GF(2^{ctx.k}): Tr(ac/b^2) = 1",
+                suggested_k=2 * ctx.k,
+            )
+        delta ^= row[0]
+        u ^= row[1]
+    scale = ctx.div(b, a)
+    return tuple(sorted((ctx.mul(scale, u), ctx.mul(scale, u ^ 1))))
 
 
 @lru_cache(maxsize=None)
 def _extension_root(k: int) -> int:
-    """Smallest root of the GF(2^k) modulus inside GF(2^(2k))."""
+    """Smallest root of the GF(2^k) modulus inside GF(2^(2k)).
+
+    The modulus is irreducible of degree k, so its roots lie in the
+    subfield GF(2^k), whose nonzero elements are the powers of
+    g^(2^k + 1) for the generator g of GF(2^(2k)); only those are tried.
+    """
     small = field(k)
     big = field(2 * k)
     m = small.modulus
-    deg = small.k
-    for cand in range(big.order):
+    step = small.order + 1
+    roots = []
+    for j in range(small.order - 1):
+        cand = big._exp[j * step]
         # evaluate the modulus at cand by Horner in the big field
         acc = 0
-        for i in range(deg, -1, -1):
+        for i in range(k, -1, -1):
             acc = big.mul(acc, cand)
             if (m >> i) & 1:
                 acc ^= 1
         if acc == 0:
-            return cand
-    raise AssertionError("modulus has no root in its own splitting field")
+            roots.append(cand)
+    return min(roots)
 
 
 def field_extend(ctx: FieldCtx) -> tuple[FieldCtx, Callable[[Fe], Fe]]:

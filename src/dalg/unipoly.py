@@ -152,11 +152,52 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
+def _sq_mod(f: UniPoly, m: UniPoly) -> UniPoly:
+    # squaring is additive in characteristic 2: (sum c_i t^i)^2 = sum c_i^2 t^2i
+    sq = f.ctx.sq
+    out = [0] * (2 * len(f.coeffs))
+    out[::2] = [sq(c) for c in f.coeffs]
+    return UniPoly(f.ctx, out) % m
+
+
 def poly_roots(p: UniPoly) -> tuple[Fe, ...]:
-    """Distinct roots in the coefficient field, by exhaustive scan."""
+    """Distinct roots in the coefficient field, sorted.
+
+    g = gcd(p, t^(2^k) - t), taken by k squarings mod p, is the product of
+    t - r over the distinct roots r.  It is split by gcds with the traces
+    Tr(beta t) = sum of (beta t)^(2^i), i < k, mod g for beta = 1, x, x^2,
+    ...: Tr(beta r) is 0 or 1 at each root, and two distinct roots differ
+    in it for some basis element beta because the trace form is
+    nondegenerate (Berlekamp, Math. Comp. 24, 1970).
+    """
     if p.is_zero():
         raise NotApplicable("zero polynomial has every element as a root")
-    return tuple(t for t in range(p.ctx.order) if p(t) == 0)
+    ctx = p.ctx
+    t = UniPoly.x(ctx)
+    r = t % p
+    for _ in range(ctx.k):
+        r = _sq_mod(r, p)
+    g = poly_gcd(p, r + t)
+    roots = []
+    todo = [g] if g.degree > 0 else []
+    while todo:
+        h = todo.pop()
+        if h.degree == 1:
+            roots.append(h.coeffs[0])
+            continue
+        for i in range(ctx.k):
+            s = UniPoly(ctx, (0, 1 << i)) % h
+            tr = s
+            for _ in range(ctx.k - 1):
+                s = _sq_mod(s, h)
+                tr = tr + s
+            f = poly_gcd(h, tr)
+            if 0 < f.degree < h.degree:
+                todo += [f, h // f]
+                break
+        else:
+            raise AssertionError(f"no trace splits the product of linear factors {h!r}")
+    return tuple(sorted(roots))
 
 
 def _poly_even_sqrt(p: UniPoly) -> UniPoly:

@@ -6,6 +6,15 @@ from dalg import DAlgebra, Matrix, field
 from dalg.gf2k import FieldCtx
 
 
+def field_trace(ctx: FieldCtx, x: int) -> int:
+    """Tr(x) = x + x^2 + ... + x^(2^(k-1)), which lies in {0, 1}."""
+    acc = 0
+    for _ in range(ctx.k):
+        acc ^= x
+        x = ctx.sq(x)
+    return acc
+
+
 def truncated_poly_algebra(ctx: FieldCtx, m: int) -> DAlgebra:
     """F[t]/(t^m) with zero differential, basis 1, t, ..., t^(m-1)."""
     tensor = [

@@ -13,7 +13,7 @@ from dalg import (
     lemma_suite,
     verify_morphism,
 )
-from dalg.dim7 import classify7, kill_q, make_D, normalize7, reduce_to_q
+from dalg.dim7 import _quotient_D, classify7, kill_q, make_D, normalize7, reduce_to_q
 
 from helpers import truncated_poly_algebra
 
@@ -54,6 +54,22 @@ def test_make_D_frozen_table():
     assert d.d(x1) == xi1
     assert d.d(x2) == xi2
     assert d.d(w) == xx
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 16])
+def test_make_D_matches_presentation_quotient(k):
+    ctx = field(k)
+    rng = random.Random(k)
+    triples = {(0, 0, 0), (1, 1, 1)}
+    while len(triples) < 8:
+        # each parameter zero half of the time
+        triples.add(tuple(ctx.rand_nonzero(rng) if rng.random() < 0.5 else 0 for _ in range(3)))
+    for h, kk, p in sorted(triples):
+        want = _quotient_D(ctx, h, kk, p)
+        got = make_D(ctx, h, kk, p)
+        assert got.tensor == want.tensor
+        assert got.dmat.rows == want.dmat.rows
+        assert got.basis_labels == want.basis_labels
 
 
 def test_classify_family_member_recovers_parameters():

@@ -7,8 +7,17 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from dalg import DegreeLimit, NeedsExtension, NotApplicable, field, field_extend, quad_roots
-from dalg.gf2k import MAX_K, _MODULUS
+from dalg import DegreeLimit, NeedsExtension, NotApplicable, UniPoly, field, field_extend, quad_roots
+from dalg.gf2k import MAX_K, _MODULUS, _extension_root
+
+from helpers import field_trace
+
+
+def scan_quad_roots(ctx, a, b, c):
+    """The sorted roots of a t^2 + b t + c, by trying every element."""
+    return tuple(
+        t for t in range(ctx.order) if ctx.mul(a, ctx.sq(t)) ^ ctx.mul(b, t) ^ c == 0
+    )
 
 
 def test_modulus_table_covers_supported_degrees():
@@ -123,18 +132,32 @@ def test_quad_roots_exhaustive_gf16_matches_scan_oracle():
     for a in range(1, ctx.order):
         for b in range(1, ctx.order):
             for c in range(ctx.order):
-                oracle = [
-                    t
-                    for t in range(ctx.order)
-                    if ctx.add(ctx.add(ctx.mul(a, ctx.mul(t, t)), ctx.mul(b, t)), c) == 0
-                ]
+                oracle = scan_quad_roots(ctx, a, b, c)
                 if oracle:
-                    assert quad_roots(ctx, a, b, c) == tuple(sorted(oracle))
+                    assert quad_roots(ctx, a, b, c) == oracle
                     assert len(oracle) == 2
                 else:
                     with pytest.raises(NeedsExtension) as ei:
                         quad_roots(ctx, a, b, c)
                     assert ei.value.suggested_k == 8
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_quad_roots_matches_scan_oracle_on_random_quadratics(k):
+    ctx = field(k)
+    rng = random.Random(k)
+    rootless = 0
+    for _ in range(150):
+        a, b, c = ctx.rand_nonzero(rng), ctx.rand_nonzero(rng), ctx.rand(rng)
+        oracle = scan_quad_roots(ctx, a, b, c)
+        if oracle:
+            assert quad_roots(ctx, a, b, c) == oracle
+        else:
+            rootless += 1
+            with pytest.raises(NeedsExtension) as ei:
+                quad_roots(ctx, a, b, c)
+            assert ei.value.suggested_k == 2 * k
+    assert 40 < rootless < 110  # about half the quadratics split
 
 
 def test_quad_roots_recovers_planted_roots():
@@ -148,6 +171,46 @@ def test_quad_roots_recovers_planted_roots():
         b = ctx.add(r, s)
         c = ctx.mul(r, s)
         assert quad_roots(ctx, 1, b, c) == tuple(sorted((r, s)))
+
+
+def test_quad_roots_gf65536_planted_roots_and_trace_criterion():
+    ctx = field(16)
+    rng = random.Random(16)
+    for _ in range(200):
+        a, r, s = ctx.rand_nonzero(rng), ctx.rand(rng), ctx.rand(rng)
+        if r == s:
+            continue
+        # a (t - r)(t - s)
+        b, c = ctx.mul(a, r ^ s), ctx.mul(a, ctx.mul(r, s))
+        assert quad_roots(ctx, a, b, c) == tuple(sorted((r, s)))
+    for _ in range(200):
+        a, b, c = ctx.rand_nonzero(rng), ctx.rand_nonzero(rng), ctx.rand(rng)
+        if field_trace(ctx, ctx.div(ctx.mul(a, c), ctx.sq(b))):
+            with pytest.raises(NeedsExtension):
+                quad_roots(ctx, a, b, c)
+        else:
+            roots = quad_roots(ctx, a, b, c)
+            assert len(roots) == 2 and roots[0] < roots[1]
+            for t in roots:
+                assert ctx.mul(a, ctx.sq(t)) ^ ctx.mul(b, t) ^ c == 0
+
+
+def test_quad_roots_no_root_names_its_witness():
+    with pytest.raises(NeedsExtension) as ei:
+        quad_roots(field(4), 0x3, 0x5, 0xA)
+    assert str(ei.value) == "0x3 t^2 + 0x5 t + 0xa has no root in GF(2^4): Tr(ac/b^2) = 1"
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_extension_root_matches_full_scan_of_the_big_field(k):
+    small, big = field(k), field(2 * k)
+    scan = [
+        cand
+        for cand in range(big.order)
+        if not UniPoly(big, [(small.modulus >> i) & 1 for i in range(k + 1)])(cand)
+    ]
+    assert len(scan) == k  # the modulus splits into distinct roots
+    assert _extension_root(k) == scan[0]
 
 
 def test_field_extend_is_a_field_homomorphism():

@@ -26,6 +26,8 @@ from dalg import (
 )
 from dalg.linalg import solve_lex_least
 
+from helpers import field_trace
+
 
 def rand_matrix(ctx, rng, nrows, ncols):
     return Matrix(ctx, [[ctx.rand(rng) for _ in range(ncols)] for _ in range(nrows)], ncols)
@@ -213,6 +215,55 @@ def test_poly_roots_and_eval():
     p = UniPoly(ctx, [ctx.mul(r, s), ctx.add(r, s), 1])  # (t - r)(t - s)
     assert poly_roots(p) == tuple(sorted((r, s)))
     assert p(r) == 0 and p(s) == 0 and p(0) == ctx.mul(r, s)
+
+
+def scan_poly_roots(p):
+    """The sorted distinct roots of p, by evaluating it at every element."""
+    return tuple(t for t in range(p.ctx.order) if p(t) == 0)
+
+
+def rootless_factor(ctx, rng, degree):
+    """A random monic polynomial of degree 2 or 3 without roots, so irreducible."""
+    while True:
+        f = UniPoly(ctx, [ctx.rand(rng) for _ in range(degree)] + [1])
+        if not scan_poly_roots(f):
+            return f
+
+
+def linear_product(ctx, roots):
+    t = UniPoly.x(ctx)
+    p = UniPoly.one(ctx)
+    for r in roots:
+        p = p * (t + UniPoly(ctx, (r,)))
+    return p
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+def test_poly_roots_matches_scan_oracle(k):
+    ctx = field(k)
+    rng = random.Random(k)
+    for c in range(1, min(ctx.order, 16)):
+        assert poly_roots(UniPoly(ctx, (c,))) == ()
+    for _ in range(60):
+        # repeated roots, rootless irreducible factors and a nonunit leading coefficient
+        roots = [ctx.rand(rng) for _ in range(rng.randrange(0, 5))]
+        roots += rng.sample(roots, min(len(roots), rng.randrange(0, 3)))
+        p = linear_product(ctx, roots).scale(ctx.rand_nonzero(rng))
+        for _ in range(rng.randrange(0, 3)):
+            p = p * rootless_factor(ctx, rng, rng.choice((2, 3)))
+        assert poly_roots(p) == scan_poly_roots(p) == tuple(sorted(set(roots)))
+
+
+def test_poly_roots_gf65536_planted_roots():
+    ctx = field(16)
+    rng = random.Random(16)
+    # t^2 + t + c has no root exactly when Tr(c) = 1
+    c = next(c for c in range(ctx.order) if field_trace(ctx, c))
+    irreducible = UniPoly(ctx, (c, 1, 1))
+    for _ in range(20):
+        roots = [ctx.rand(rng) for _ in range(rng.randrange(1, 8))]
+        p = linear_product(ctx, roots + roots[:2]) * irreducible
+        assert poly_roots(p.scale(ctx.rand_nonzero(rng))) == tuple(sorted(set(roots)))
 
 
 def test_squarefree_part():
