@@ -44,6 +44,7 @@ from .errors import (
     AxiomsFailed,
     DalgError,
     NeedsExtension,
+    NotApplicable,
     TheoremViolation,
 )
 from .formats import loads
@@ -61,10 +62,6 @@ EXIT_THEOREM = 4
 EXIT_EXTENSION = 5
 
 _DSL_START = re.compile(r"\s*P\s*\(")
-
-
-class NotApplicableInput(ValueError):
-    """Input is structurally wrong for the requested command."""
 
 
 class Output:
@@ -152,7 +149,7 @@ def cmd_invariants(obj, out: Output, args) -> int:
 
 def cmd_decompose(obj, out: Output, args) -> int:
     if not isinstance(obj, DAlgebra):
-        raise NotApplicableInput("decompose expects a d-algebra")
+        raise NotApplicable("decompose expects a d-algebra")
     dec = decompose(obj)
     out.kv("factors", len(dec.factors))
     hx = obj.ctx.to_hex
@@ -166,7 +163,7 @@ def cmd_decompose(obj, out: Output, args) -> int:
 
 def cmd_classify7(obj, out: Output, args) -> int:
     if not isinstance(obj, DAlgebra):
-        raise NotApplicableInput("classify7 expects a d-algebra")
+        raise NotApplicable("classify7 expects a d-algebra")
     res = normalize7(obj)
     hx = res.algebra.ctx.to_hex
     out.kv("field", res.algebra.ctx.k)
@@ -202,7 +199,7 @@ def _greedy_generators(a) -> list:
 
 def cmd_present(obj, out: Output, args) -> int:
     if not isinstance(obj, DAlgebra):
-        raise NotApplicableInput("present expects a d-algebra")
+        raise NotApplicable("present expects a d-algebra")
     bound = args.bound if args.bound is not None else 4
     pres = present(obj, _greedy_generators(obj), bound)
     out.kv("rank r", pres.pa.r)
@@ -214,7 +211,7 @@ def cmd_present(obj, out: Output, args) -> int:
 
 def cmd_pbw_verify(obj, out: Output, args) -> int:
     if not isinstance(obj, LieAlgebra2):
-        raise NotApplicableInput("pbw-verify expects a Lie algebra")
+        raise NotApplicable("pbw-verify expects a Lie algebra")
     bound = args.bound if args.bound is not None else 4
     sctx, reordered = ordered_for_straightening(obj)
     out.kv("reordered", "yes" if reordered else "no")
@@ -226,7 +223,7 @@ def cmd_pbw_verify(obj, out: Output, args) -> int:
 
 def cmd_confluence(obj, out: Output, args) -> int:
     if not isinstance(obj, LieAlgebra2):
-        raise NotApplicableInput("confluence expects a Lie algebra")
+        raise NotApplicable("confluence expects a Lie algebra")
     trials = args.trials if args.trials is not None else 1000
     max_len = args.bound if args.bound is not None else 6
     sctx, reordered = ordered_for_straightening(obj)

@@ -18,9 +18,9 @@ Every entry is primitive (the class of x generates the multiplicative
 group), which is what makes the discrete-log tables work; primitivity is
 asserted by the test suite.
 
-Nothing here scans the field: :func:`quad_roots` solves quadratics by a
-GF(2)-linear system and :func:`field_extend` looks for the root of a
-modulus in the subfield it must lie in.
+Nothing here scans the field.  Both root searches, for the roots of a
+quadratic (:func:`quad_roots`) and for the image of the generator under
+:func:`field_extend`, go through :func:`dalg.unipoly.poly_roots`.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class FieldCtx:
         # exp holds two periods of x^i so products skip the modular reduction
         # of log sums; log[0] stays unused.
         n = self.order - 1
-        exp = [0] * (2 * n if n > 1 else 2)
+        exp = [0] * n
         log = [0] * self.order
         v = 1
         for i in range(n):
@@ -91,9 +91,7 @@ class FieldCtx:
             v <<= 1
             if v & self.order:
                 v ^= self.modulus
-        for i in range(n, len(exp)):
-            exp[i] = exp[i - n]
-        self._exp = exp
+        self._exp = exp * 2
         self._log = log
 
     def __repr__(self) -> str:
@@ -180,94 +178,50 @@ def fe_sqrt(ctx: FieldCtx, a: Fe) -> Fe:
     return ctx.sqrt(a)
 
 
-@lru_cache(maxsize=None)
-def _artin_schreier_table(k: int) -> tuple:
-    """Pivot rows of the GF(2)-linear map u -> u^2 + u on GF(2^k).
-
-    Entry i is None or a pair (image, preimage) whose image has leading
-    bit i.  The map has kernel {0, 1}, so k - 1 entries are filled and
-    they span its image, which is the hyperplane of trace 0.
-    """
-    ctx = field(k)
-    rows: list = [None] * k
-    for bit in range(k):
-        pre = 1 << bit
-        img = ctx.sq(pre) ^ pre
-        while img:
-            top = img.bit_length() - 1
-            if rows[top] is None:
-                rows[top] = (img, pre)
-                break
-            img ^= rows[top][0]
-            pre ^= rows[top][1]
-    return tuple(rows)
-
-
 def quad_roots(ctx: FieldCtx, a: Fe, b: Fe, c: Fe) -> tuple[Fe, ...]:
     """Roots in GF(2^k) of a t^2 + b t + c, with a and b not both zero.
 
-    Returns the sorted tuple of distinct roots.  Degenerate shapes are
-    solved in closed form (one root each).  In the genuine quadratic case
-    t = (b/a) u turns the equation into u^2 + u = ac/b^2, a linear system
-    over GF(2) solved against a per-field table; it is solvable exactly
-    when Tr(ac/b^2) = 0 (Lidl & Niederreiter, Finite Fields, 3.4), and
-    :class:`NeedsExtension` is raised otherwise.
+    Returns the sorted tuple of distinct roots, found by
+    :func:`dalg.unipoly.poly_roots`.  A linear polynomial (a = 0) and a
+    square (b = 0, one double root) always have one.  A genuine quadratic
+    has two roots or none, and none exactly when Tr(ac/b^2) = 1 (Lidl &
+    Niederreiter, Finite Fields, 3.4); :class:`NeedsExtension` is raised
+    then.
     """
+    from .unipoly import UniPoly, poly_roots
+
     if a == 0 and b == 0:
         raise NotApplicable("quad_roots requires a or b nonzero")
-    if a == 0:
-        return (ctx.div(c, b),)
-    if b == 0:
-        # t^2 = c/a has exactly one root since squaring is bijective
-        return (ctx.sqrt(ctx.div(c, a)),)
-    delta = ctx.div(ctx.mul(a, c), ctx.sq(b))
-    rows = _artin_schreier_table(ctx.k)
-    u = 0
-    while delta:
-        row = rows[delta.bit_length() - 1]
-        if row is None:
-            raise NeedsExtension(
-                f"{ctx.to_hex(a)} t^2 + {ctx.to_hex(b)} t + {ctx.to_hex(c)} has no "
-                f"root in GF(2^{ctx.k}): Tr(ac/b^2) = 1",
-                suggested_k=2 * ctx.k,
-            )
-        delta ^= row[0]
-        u ^= row[1]
-    scale = ctx.div(b, a)
-    return tuple(sorted((ctx.mul(scale, u), ctx.mul(scale, u ^ 1))))
+    roots = poly_roots(UniPoly(ctx, (c, b, a)))
+    if not roots:
+        raise NeedsExtension(
+            f"{ctx.to_hex(a)} t^2 + {ctx.to_hex(b)} t + {ctx.to_hex(c)} has no "
+            f"root in GF(2^{ctx.k}): Tr(ac/b^2) = 1",
+            suggested_k=2 * ctx.k,
+        )
+    return roots
 
 
 @lru_cache(maxsize=None)
 def _extension_root(k: int) -> int:
     """Smallest root of the GF(2^k) modulus inside GF(2^(2k)).
 
-    The modulus is irreducible of degree k, so its roots lie in the
-    subfield GF(2^k), whose nonzero elements are the powers of
-    g^(2^k + 1) for the generator g of GF(2^(2k)); only those are tried.
+    The modulus is irreducible of degree k, so it splits into k distinct
+    roots in GF(2^(2k)), which contains GF(2^k); :func:`dalg.unipoly.poly_roots`
+    finds them.  Its coefficients are bits, the same ints in either field.
     """
-    small = field(k)
-    big = field(2 * k)
-    m = small.modulus
-    step = small.order + 1
-    roots = []
-    for j in range(small.order - 1):
-        cand = big._exp[j * step]
-        # evaluate the modulus at cand by Horner in the big field
-        acc = 0
-        for i in range(k, -1, -1):
-            acc = big.mul(acc, cand)
-            if (m >> i) & 1:
-                acc ^= 1
-        if acc == 0:
-            roots.append(cand)
-    return min(roots)
+    from .unipoly import UniPoly, poly_roots
+
+    m = _MODULUS[k]
+    return poly_roots(UniPoly(field(2 * k), [(m >> i) & 1 for i in range(k + 1)]))[0]
 
 
 def field_extend(ctx: FieldCtx) -> tuple[FieldCtx, Callable[[Fe], Fe]]:
     """Double the field degree and return (new ctx, embedding).
 
     The embedding sends the generator of GF(2^k) to the smallest root of
-    its modulus in GF(2^(2k)); it is a field homomorphism, injective, and
+    its modulus in GF(2^(2k)), as :func:`dalg.unipoly.poly_roots` finds it
+    (once per k); it is a field homomorphism, injective, and
     deterministic.  Raises :class:`DegreeLimit` past k = 8.
     """
     if 2 * ctx.k > MAX_K:

@@ -319,18 +319,10 @@ def decompose(a: DAlgebra) -> Decomposition:
     locality of every factor and the product isomorphism.
     """
     ctx = a.ctx
-    chars = characters(a)
-    idems = [c.idempotent for c in chars]
-    seen = set()
-    uniq = []
-    for e in idems:
-        t = tuple(e)
-        if t not in seen:
-            seen.add(t)
-            uniq.append(e)
+    idems = [c.idempotent for c in characters(a)]
     factors = []
     fprojs = []
-    for e in uniq:
+    for e in idems:
         f, fincl = subalgebra(a, _corner_rows(a, e), unit=e)
         fsolver = CoordSolver(ctx, [fincl.mat.col(t) for t in range(f.n)])
         cols = [fsolver.coords(a.mul(e, a.basis_vec(j))) for j in range(a.n)]
@@ -351,7 +343,7 @@ def decompose(a: DAlgebra) -> Decomposition:
     for f in factors:
         if not is_local(f):
             raise TheoremViolation("a factor is not local")
-    return Decomposition(uniq, factors, fprojs, prod, iso)
+    return Decomposition(idems, factors, fprojs, prod, iso)
 
 
 @dataclass

@@ -91,6 +91,23 @@ def test_malformed_dsl_exits_2(capsys, monkeypatch):
         assert got["error"] == "input" and hint in got["message"]
 
 
+@pytest.mark.parametrize(
+    "command, source, message",
+    [
+        ("decompose", jordan_lie_text, "decompose expects a d-algebra"),
+        ("classify7", jordan_lie_text, "classify7 expects a d-algebra"),
+        ("present", jordan_lie_text, "present expects a d-algebra"),
+        ("pbw-verify", lambda: dumps(make_D(field(1), 0, 0, 0)), "pbw-verify expects a Lie algebra"),
+        ("confluence", lambda: dumps(make_D(field(1), 0, 0, 0)), "confluence expects a Lie algebra"),
+    ],
+)
+def test_wrong_kind_of_input_exits_2(command, source, message, capsys, monkeypatch):
+    code, text = run(capsys, [command, "-"], source(), monkeypatch)
+    assert code == 2
+    got = kv(text)
+    assert got["error"] == "input" and got["message"] == message and got["exit"] == "2"
+
+
 def test_missing_file_exits_2(capsys):
     code, text = run(capsys, ["check", "/nonexistent/place.alg"])
     assert code == 2
