@@ -133,29 +133,34 @@ def loads(text: str):
         if not 0 <= unit_idx < n:
             raise FormatError(f"line {header['unit'][0]}: unit index out of range")
 
-    tensor = [[None] * n for _ in range(n)]
+    # the grids are built only once every slot is present, and the scans for
+    # a gap stop within len(entries) + 1 steps: both are bounded by the input
+    entries = {}
     for lineno, si, sj, body in t_lines:
         i = _parse_int(si, "tensor index", lineno)
         j = _parse_int(sj, "tensor index", lineno)
         if not (0 <= i < n and 0 <= j < n):
             raise FormatError(f"line {lineno}: tensor index out of range")
-        if tensor[i][j] is not None:
+        if (i, j) in entries:
             raise FormatError(f"line {lineno}: duplicate entry t {i} {j}")
-        tensor[i][j] = _parse_scalars(body, n, ctx, lineno)
-    missing = [(i, j) for i in range(n) for j in range(n) if tensor[i][j] is None]
-    if missing:
-        raise FormatError(f"missing tensor entry t {missing[0][0]} {missing[0][1]}")
+        entries[i, j] = _parse_scalars(body, n, ctx, lineno)
+    gap = next(((i, j) for i in range(n) for j in range(n) if (i, j) not in entries), None)
+    if gap is not None:
+        raise FormatError(f"missing tensor entry t {gap[0]} {gap[1]}")
+    tensor = [[entries[i, j] for j in range(n)] for i in range(n)]
 
-    dcols = [None] * n
+    dentries = {}
     for lineno, sj, body in d_lines:
         j = _parse_int(sj, "differential index", lineno)
         if not 0 <= j < n:
             raise FormatError(f"line {lineno}: differential index out of range")
-        if dcols[j] is not None:
+        if j in dentries:
             raise FormatError(f"line {lineno}: duplicate entry d {j}")
-        dcols[j] = _parse_scalars(body, n, ctx, lineno)
-    if any(c is None for c in dcols):
-        raise FormatError(f"missing differential entry d {dcols.index(None)}")
+        dentries[j] = _parse_scalars(body, n, ctx, lineno)
+    gap = next((j for j in range(n) if j not in dentries), None)
+    if gap is not None:
+        raise FormatError(f"missing differential entry d {gap}")
+    dcols = [dentries[j] for j in range(n)]
     dmat = Matrix.from_cols(ctx, dcols, nrows=n)
 
     if kind == "lie2":

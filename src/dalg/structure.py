@@ -27,7 +27,7 @@ from .errors import (
     TheoremViolation,
     WrongDefect,
 )
-from .gf2k import Fe, FieldCtx, fe_sqrt, field
+from .gf2k import Fe, FieldCtx, fe_sqrt
 from .ideals import DIdeal, close, ideal_intersect, nilpotency_index
 from .linalg import CoordSolver, Matrix, Subspace, solve, solve_lex_least
 from .linalg import min_poly
@@ -51,46 +51,31 @@ __all__ = [
 def nilradical(a: AssocAlgebra2) -> Subspace:
     """Nilpotent elements of a commutative algebra, as a subspace.
 
-    Squaring is additive in characteristic 2 and scalar-twisted by the
-    Frobenius, so it is linear over GF(2) on the bit representation; the
-    nilradical is the stabilized kernel of its iterates.
+    In characteristic 2 squaring is additive, so for q = 2^t the element
+    x = sum v_i e_i has x^q = sum v_i^q e_i^q.  A nilpotent x in an
+    n-dimensional unital algebra has x^n = 0, because the ideals
+    A > xA > x^2 A > ... strictly decrease until they reach 0; so once
+    2^t >= n, x is nilpotent exactly when x^q = 0.  The nilradical is
+    therefore the coordinate-wise q-th root of the kernel of the n x n
+    matrix whose columns are e_i^q, taken over GF(2^k) itself.  The
+    Frobenius is a field automorphism, so that root is again a subspace.
     """
     if a.is_commutative() is not None:
         raise NotCommutative("nilradical computation needs a commutative algebra")
     ctx = a.ctx
-    kk = ctx.k
-    n = a.n
-    g1 = field(1)
+    t = (a.n - 1).bit_length()
     cols = []
-    for i in range(n):
-        for t in range(kk):
-            v = [0] * n
-            v[i] = 1 << t
-            sq = a.mul(v, v)
-            cols.append([c >> u & 1 for c in sq for u in range(kk)])
-    s = Matrix.from_cols(g1, cols, n * kk)
-    m = s
-    kernel = m.nullspace()
-    while True:
-        m = m.mul(s)
-        nxt = m.nullspace()
-        if len(nxt) == len(kernel):
-            break
-        kernel = nxt
+    for i in range(a.n):
+        v = a.basis_vec(i)
+        for _ in range(t):
+            v = a.mul(v, v)
+        cols.append(v)
     vecs = []
-    for bits in kernel:
-        v = [0] * n
-        for i in range(n):
-            c = 0
-            for t in range(kk):
-                if bits[i * kk + t]:
-                    c |= 1 << t
-            v[i] = c
-        vecs.append(v)
-    sp = Subspace(ctx, n, vecs)
-    if sp.dim * kk != len(kernel):
-        raise TheoremViolation("nilpotent elements fail to form a subspace over the field")
-    return sp
+    for w in Matrix.from_cols(ctx, cols, a.n).nullspace():
+        for _ in range(t):
+            w = [ctx.sqrt(c) for c in w]
+        vecs.append(w)
+    return Subspace(ctx, a.n, vecs)
 
 
 def _corner_rows(a: AssocAlgebra2, e) -> list:
@@ -239,7 +224,8 @@ def characters(a: DAlgebra) -> list:
         else:
             cq, cproj = corner, None
         if cq.n != 1:
-            raise TheoremViolation("corner residue is not one-dimensional")
+            hx = " ".join(ctx.to_hex(c) for c in incl.apply(e))
+            raise TheoremViolation(f"corner residue of idempotent [{hx}] has dimension {cq.n}")
         csolver = CoordSolver(ctx, [cincl.mat.col(t) for t in range(corner.n)])
 
         def lam_k(u, _e=e, _cs=csolver, _cp=cproj):
@@ -277,7 +263,7 @@ def maximal_ideals(a: DAlgebra) -> list:
         kernel = Matrix(a.ctx, [list(lam.functional)], a.n).nullspace()
         ideal = close(a, kernel)
         if ideal.dim != a.n - 1:
-            raise TheoremViolation("character kernel has the wrong dimension")
+            raise TheoremViolation(f"character kernel has dimension {ideal.dim}, not {a.n - 1}")
         out.append(ideal)
     return out
 
@@ -337,12 +323,12 @@ def decompose(a: DAlgebra) -> Decomposition:
         raise TheoremViolation(f"product splitting fails to verify: {rep.failures[:1]}")
     df = defect(a)
     if len(factors) > df:
-        raise TheoremViolation("more local factors than the defect allows")
+        raise TheoremViolation(f"more local factors than the defect allows: {len(factors)} > {df}")
     if sum(defect(f) for f in factors) != df:
         raise TheoremViolation("defect fails to add up over the factors")
-    for f in factors:
+    for i, f in enumerate(factors):
         if not is_local(f):
-            raise TheoremViolation("a factor is not local")
+            raise TheoremViolation(f"a factor is not local: factor {i} of dimension {f.n}")
     return Decomposition(idems, factors, fprojs, prod, iso)
 
 

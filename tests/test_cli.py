@@ -11,13 +11,14 @@ from dalg import (
     abelian_lie,
     commutator_lie,
     direct_product,
+    direct_product_many,
     dumps,
     field,
     gl_object,
 )
 from dalg.cli import main
 from dalg.dim7 import make_D, normalize7
-from helpers import gf4_over_gf2_algebra, truncated_poly_algebra
+from helpers import gf4_over_gf2_algebra, tiny_d_algebra, truncated_poly_algebra
 
 D_SOURCE = "P(2,0) / [x1^2, x2^2, x1*x2, xi1*x1, xi2*x2, xi1*x2 + xi2*x1] @ deg 4"
 RANK3_DEG5 = (
@@ -106,6 +107,14 @@ def test_wrong_kind_of_input_exits_2(command, source, message, capsys, monkeypat
     assert code == 2
     got = kv(text)
     assert got["error"] == "input" and got["message"] == message and got["exit"] == "2"
+
+
+def test_huge_n_header_exits_2(capsys, monkeypatch):
+    header = "kind: dalgebra\nfield: 1\nn: 100000000\nunit: 0\n"
+    code, text = run(capsys, ["check", "-"], header, monkeypatch)
+    assert code == 2
+    got = kv(text)
+    assert got["error"] == "input" and got["message"] == "missing tensor entry t 0 0"
 
 
 def test_missing_file_exits_2(capsys):
@@ -205,12 +214,21 @@ def d_times_t2_text():
     return dumps(p)
 
 
+def d_t3_tiny_gf16_text():
+    ctx = field(16)
+    p, _ = direct_product_many(
+        [make_D(ctx, 0x1D, 0x7, 0x3A5), truncated_poly_algebra(ctx, 3), tiny_d_algebra(ctx)]
+    )
+    return dumps(p)
+
+
 @pytest.mark.parametrize(
     "golden, argv, source",
     [
         ("present_d_t2", ["present", "-"], d_times_t2_text),
         ("invariants_rank3_deg5", ["invariants", "-"], lambda: RANK3_DEG5),
         ("check_d_not_closed", ["check", "-"], lambda: "P(1,0) / [x1^3 + xi1 x1] @ deg 5"),
+        ("decompose_d_t3_tiny_gf16", ["decompose", "-"], d_t3_tiny_gf16_text),
     ],
 )
 def test_report_matches_golden(golden, argv, source, capsys, monkeypatch):

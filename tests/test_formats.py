@@ -116,6 +116,8 @@ def test_print_then_parse_is_identity_on_random_algebras():
         (lambda t: t + "volume: 9\n", "unknown key"),
         (lambda t: t.replace("t 0 0", "t 0 0 0"), "unknown key"),
         (lambda t: "just words\n" + t, "expected 'key: value'"),
+        # the n x n grid would take gigabytes: the first gap is found before it
+        (lambda t: "kind: dalgebra\nfield: 1\nn: 100000000\nunit: 0\n", "missing tensor entry t 0 0"),
     ],
 )
 def test_malformed_inputs(mangle, needle):

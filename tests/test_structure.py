@@ -4,17 +4,22 @@ import random
 import pytest
 
 from dalg import (
+    Matrix,
     NonSplit,
     NotCommutative,
+    Subspace,
     TheoremViolation,
     WrongDefect,
+    change_basis,
     direct_product,
+    direct_product_many,
     embed_algebra,
     field,
     field_extend,
     is_coprime,
     verify_morphism,
 )
+from dalg import structure
 from dalg.dim7 import make_D
 from dalg.structure import (
     characters,
@@ -29,6 +34,7 @@ from dalg.structure import (
 from dalg.algebra import defect
 
 from helpers import (
+    corpus_small,
     field_as_algebra,
     gf4_over_gf2_algebra,
     tiny_d_algebra,
@@ -89,6 +95,107 @@ def test_nilradical_of_semisimple_extension_is_zero():
 def test_nilradical_rejects_noncommutative():
     with pytest.raises(NotCommutative):
         nilradical(make_D(field(2), 0, 0, 0))
+
+
+def nilradical_gf2_powers(a):
+    """The former nilradical, kept as an oracle for the closed form.
+
+    Squaring is additive in characteristic 2 and scalar-twisted by the
+    Frobenius, so it is linear over GF(2) on the bit representation; the
+    nilradical is the stabilized kernel of its iterates.
+    """
+    if a.is_commutative() is not None:
+        raise NotCommutative("nilradical computation needs a commutative algebra")
+    ctx = a.ctx
+    kk = ctx.k
+    n = a.n
+    g1 = field(1)
+    cols = []
+    for i in range(n):
+        for t in range(kk):
+            v = [0] * n
+            v[i] = 1 << t
+            sq = a.mul(v, v)
+            cols.append([c >> u & 1 for c in sq for u in range(kk)])
+    s = Matrix.from_cols(g1, cols, n * kk)
+    m = s
+    kernel = m.nullspace()
+    while True:
+        m = m.mul(s)
+        nxt = m.nullspace()
+        if len(nxt) == len(kernel):
+            break
+        kernel = nxt
+    vecs = []
+    for bits in kernel:
+        v = [0] * n
+        for i in range(n):
+            c = 0
+            for t in range(kk):
+                if bits[i * kk + t]:
+                    c |= 1 << t
+            v[i] = c
+        vecs.append(v)
+    sp = Subspace(ctx, n, vecs)
+    if sp.dim * kk != len(kernel):
+        raise TheoremViolation("nilpotent elements fail to form a subspace over the field")
+    return sp
+
+
+def test_nilradical_matches_gf2_oracle_on_corpus():
+    compared = 0
+    for a in corpus_small():
+        if a.is_commutative() is not None:
+            continue
+        assert nilradical(a).rows == nilradical_gf2_powers(a).rows
+        compared += 1
+    assert compared >= 40
+
+
+def _product_cases(k, seed):
+    r = random.Random(seed)
+    ctx = field(k)
+
+    def member():
+        return make_D(ctx, ctx.rand(r), ctx.rand(r), ctx.rand(r))
+
+    for factors in ([member(), tiny_d_algebra(ctx)], [member(), member(), member()]):
+        sparse, _ = direct_product_many(factors)
+        yield sparse
+        while True:
+            rows = [sparse.unit_vec()] + [sparse.rand_vec(r) for _ in range(sparse.n - 1)]
+            if Subspace(ctx, sparse.n, rows).dim == sparse.n:
+                break
+        dense, _ = change_basis(sparse, rows, unit=sparse.unit_vec())
+        yield dense
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_nilradical_matches_gf2_oracle_inside_decompose(k, monkeypatch):
+    # every nilradical decompose asks for (Ker(d), its corners, each
+    # factor's locality check) must equal the GF(2) matrix-power answer
+    seen = []
+
+    def both(a):
+        got = nilradical(a)
+        assert got.rows == nilradical_gf2_powers(a).rows
+        seen.append(a.n)
+        return got
+
+    monkeypatch.setattr(structure, "nilradical", both)
+    for a in _product_cases(k, 0x5EED + k):
+        dec = structure.decompose(a)
+        assert len(dec.factors) in (2, 3)
+    assert len(seen) >= 30 and max(seen) == 12
+
+
+@pytest.mark.parametrize("m", [7, 8, 9, 16, 17])
+def test_nilradical_of_truncated_poly_needs_every_doubling(m):
+    # t has nilpotency index exactly m = n, so x^(2^t) with 2^t just below
+    # n would leave t outside the kernel
+    a = truncated_poly_algebra(field(16), m)
+    rad = nilradical(a)
+    assert rad == Subspace(a.ctx, m, [a.basis_vec(i) for i in range(1, m)])
 
 
 # ---------------------------------------------------- primitive idempotents
@@ -324,6 +431,24 @@ def test_decompose_triple():
         u = [rng.randrange(16) for _ in range(abc.n)]
         v = [rng.randrange(16) for _ in range(abc.n)]
         assert fproj.apply(abc.mul(u, v)) == f.mul(fproj.apply(u), fproj.apply(v))
+
+
+def test_decompose_names_the_factor_that_is_not_local(monkeypatch):
+    ctx = field(4)
+    a, _, _ = direct_product(truncated_poly_algebra(ctx, 2), tiny_d_algebra(ctx))
+    monkeypatch.setattr(structure, "is_local", lambda f: False)
+    with pytest.raises(TheoremViolation) as exc:
+        decompose(a)
+    assert str(exc.value) == "a factor is not local: factor 0 of dimension 2"
+
+
+def test_decompose_names_both_counts_when_the_defect_is_exceeded(monkeypatch):
+    ctx = field(4)
+    a, _, _ = direct_product(truncated_poly_algebra(ctx, 2), tiny_d_algebra(ctx))
+    monkeypatch.setattr(structure, "defect", lambda f: 1)
+    with pytest.raises(TheoremViolation) as exc:
+        decompose(a)
+    assert str(exc.value) == "more local factors than the defect allows: 2 > 1"
 
 
 # ---------------------------------------------------------- defect-1 basis
