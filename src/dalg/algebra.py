@@ -17,6 +17,16 @@ All verification is exhaustive over basis tuples: every law checked here
 is multilinear in its arguments (the one exception, the [x,x] = 0 law for
 Lie objects, is handled in :mod:`dalg.lie` with its own justification), so
 basis tuples decide the law on the whole algebra.
+
+On a basis tuple each side of a law is a contraction of the structure
+constants T (and of the columns D of d): associativity at (i, j, k) reads
+sum_m T_ij^m T_mk = sum_m T_jk^m T_im, and d(e_j) d(e_i) = sum_a D_aj
+(e_a d(e_i)).  The checks evaluate these sums over ``terms``, the nonzero
+entries of the tensor collected once at construction, instead of
+multiplying basis vectors.  They are the same vectors the products would
+give on the same tuples, so basis tuples still decide every law, and each
+report names the same witnesses in the same order.  The cost follows the
+number of nonzero constants, with no vectors built for basis elements.
 """
 
 from __future__ import annotations
@@ -46,6 +56,17 @@ Tensor = list  # tensor[i][j] is the coordinate vector of e_i * e_j
 
 def vec_xor(a: Sequence[Fe], b: Sequence[Fe]) -> Vec:
     return [x ^ y for x, y in zip(a, b)]
+
+
+def _nonzero(v: Sequence[Fe]) -> list:
+    return [(m, x) for m, x in enumerate(v) if x]
+
+
+def _contract(ctx: FieldCtx, out: Vec, coeffs, rows) -> Vec:
+    """Add sum of c rows[m] over the (m, c) in coeffs to out; rows are term lists."""
+    for m, c in coeffs:
+        ctx.addmul(out, c, rows[m])
+    return out
 
 
 @dataclass
@@ -89,6 +110,9 @@ class StructureConstants:
     ctx : FieldCtx
     tensor : n x n grid of coordinate vectors, tensor[i][j] = e_i e_j
     dmat : Matrix or rows, column j holding d(e_j)
+
+    ``terms[i][j]`` lists the nonzero (m, c) of e_i e_j.  It is built once
+    here, so the tensor must not be edited after construction.
     """
 
     def __init__(self, ctx: FieldCtx, tensor: Tensor, dmat):
@@ -103,27 +127,46 @@ class StructureConstants:
         self.ctx = ctx
         self.n = n
         self.tensor = [[list(v) for v in row] for row in tensor]
+        self.terms = [[_nonzero(v) for v in row] for row in self.tensor]
         self.dmat = dmat
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, k={self.ctx.k})"
 
     def _product(self, a: Sequence[Fe], b: Sequence[Fe]) -> Vec:
-        mul = self.ctx.mul
+        mul, addmul = self.ctx.mul, self.ctx.addmul
         out = [0] * self.n
+        bs = _nonzero(b)
         for i, ai in enumerate(a):
             if not ai:
                 continue
-            ti = self.tensor[i]
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                c = mul(ai, bj)
-                row = ti[j]
-                for m, rm in enumerate(row):
-                    if rm:
-                        out[m] ^= mul(c, rm)
+            ti = self.terms[i]
+            for j, bj in bs:
+                if ti[j]:
+                    addmul(out, mul(ai, bj), ti[j])
         return out
+
+    # -- contractions shared by the law checks --------------------------------
+
+    def _columns(self) -> list:
+        """cols[k][m] = terms of e_m e_k."""
+        return list(zip(*self.terms))
+
+    def _d_terms(self) -> list:
+        """Column j of d as a term list."""
+        return [_nonzero(self.dmat.col(j)) for j in range(self.n)]
+
+    def _times_d(self, dterms) -> list:
+        """U[i][a] = terms of e_a d(e_i); then d(e_j) d(e_i) = sum_a D_aj U[i][a]."""
+        n, ctx, terms = self.n, self.ctx, self.terms
+        return [[_nonzero(_contract(ctx, [0] * n, dterms[i], terms[a])) for a in range(n)] for i in range(n)]
+
+    def _leibniz_sides(self, dterms, cols, i: int, j: int) -> tuple[Vec, Vec]:
+        """d(e_i e_j) and d(e_i) e_j + e_i d(e_j)."""
+        n, ctx, terms = self.n, self.ctx, self.terms
+        lhs = _contract(ctx, [0] * n, terms[i][j], dterms)
+        rhs = _contract(ctx, [0] * n, dterms[i], cols[j])
+        return lhs, _contract(ctx, rhs, dterms[j], terms[i])
 
     def d(self, a: Sequence[Fe]) -> Vec:
         return self.dmat.mul_vec(a)
@@ -173,9 +216,11 @@ class AssocAlgebra2(StructureConstants):
         self._verify_assoc(rep)
         return rep
 
-    def _verify_assoc(self, rep: AxiomReport) -> None:
-        n = self.n
-        T = self.tensor
+    def _verify_assoc(self, rep: AxiomReport) -> list:
+        """Unit, associativity and derivation laws; returns d's term lists."""
+        n, ctx = self.n, self.ctx
+        T, terms = self.tensor, self.terms
+        cols = self._columns()
         u = self.unit_idx
         for i in range(n):
             lhs = T[u][i]
@@ -186,28 +231,30 @@ class AssocAlgebra2(StructureConstants):
             if rhs != e:
                 rep.record("right_unit", (i,), rhs, e)
         for i in range(n):
+            ti = terms[i]
             for j in range(n):
-                tij = T[i][j]
+                tij, tj = ti[j], terms[j]
                 for k in range(n):
-                    left = self.mul(tij, self.basis_vec(k))
-                    right = self.mul(self.basis_vec(i), T[j][k])
+                    if not tij and not tj[k]:
+                        continue  # both sides are zero
+                    # (e_i e_j) e_k = e_i (e_j e_k)
+                    left = _contract(ctx, [0] * n, tij, cols[k])
+                    right = _contract(ctx, [0] * n, tj[k], ti)
                     if left != right:
                         rep.record("associativity", (i, j, k), left, right)
         dd = self.dmat.mul(self.dmat)
         if not dd.is_zero():
             rep.record("d_squared", (), tuple(map(tuple, dd.rows)), ((),))
+        dterms = self._d_terms()
         for i in range(n):
             for j in range(n):
-                lhs = self.d(T[i][j])
-                rhs = vec_xor(
-                    self.mul(self.dmat.col(i), self.basis_vec(j)),
-                    self.mul(self.basis_vec(i), self.dmat.col(j)),
-                )
+                lhs, rhs = self._leibniz_sides(dterms, cols, i, j)
                 if lhs != rhs:
                     rep.record("leibniz", (i, j), lhs, rhs)
         du = self.dmat.col(u)
         if any(du):
             rep.record("unit_differential", (u,), du, tuple([0] * n))
+        return dterms
 
     # -- derived subspaces --------------------------------------------------
 
@@ -243,15 +290,15 @@ class DAlgebra(AssocAlgebra2):
 
     def verify(self) -> AxiomReport:
         rep = AxiomReport(self.kind)
-        self._verify_assoc(rep)
-        n = self.n
+        dterms = self._verify_assoc(rep)
+        n, ctx, T = self.n, self.ctx, self.tensor
+        U = self._times_d(dterms)
         for i in range(n):
-            di = self.dmat.col(i)
             for j in range(n):
                 # e_i e_j = e_j e_i + d(e_j) d(e_i)
-                rhs = vec_xor(self.tensor[j][i], self.mul(self.dmat.col(j), di))
-                if self.tensor[i][j] != rhs:
-                    rep.record("d_commutativity", (i, j), self.tensor[i][j], rhs)
+                rhs = _contract(ctx, list(T[j][i]), dterms[j], U[i])
+                if T[i][j] != rhs:
+                    rep.record("d_commutativity", (i, j), T[i][j], rhs)
         return rep
 
 
@@ -291,11 +338,14 @@ def verify_morphism(m: Morphism, require_iso: bool = False) -> AxiomReport:
     img_unit = m.apply(src.unit_vec())
     if img_unit != tgt.unit_vec():
         rep.record("unit", (), img_unit, tgt.unit_vec())
+    ctx, n = tgt.ctx, tgt.n
+    fterms = [_nonzero(m.mat.col(j)) for j in range(src.n)]
+    # V[j][a] = terms of e_a f(e_j); then f(e_i) f(e_j) = sum_a F_ai V[j][a]
+    V = [[_nonzero(_contract(ctx, [0] * n, fj, row)) for row in tgt.terms] for fj in fterms]
     for i in range(src.n):
-        fi = m.mat.col(i)
         for j in range(src.n):
-            lhs = m.apply(src.tensor[i][j])
-            rhs = tgt.mul(fi, m.mat.col(j))
+            lhs = _contract(ctx, [0] * n, src.terms[i][j], fterms)
+            rhs = _contract(ctx, [0] * n, fterms[i], V[j])
             if lhs != rhs:
                 rep.record("multiplicative", (i, j), lhs, rhs)
     lhs_mat = m.mat.mul(src.dmat)
@@ -433,7 +483,7 @@ def change_basis(a: AssocAlgebra2, new_basis: Sequence[Sequence[Fe]], unit: Sequ
 
 
 def _standard_index(v: Sequence[Fe]) -> int | None:
-    nz = [(i, c) for i, c in enumerate(v) if c]
+    nz = _nonzero(v)
     if len(nz) == 1 and nz[0][1] == 1:
         return nz[0][0]
     return None

@@ -41,7 +41,10 @@ __all__ = [
     "Normal7Result",
 ]
 
+# make_D's cache, oldest first; hits move to the end, the oldest beyond
+# _MAKE_CACHE_SIZE entries is dropped
 _make_cache: dict = {}
+_MAKE_CACHE_SIZE = 16
 
 
 def _quotient_D(ctx: FieldCtx, h: Fe, k: Fe, p: Fe) -> DAlgebra:
@@ -89,12 +92,15 @@ def _family_parts() -> tuple[DAlgebra, tuple]:
 def make_D(ctx: FieldCtx, h: Fe, k: Fe, p: Fe) -> DAlgebra:
     """The family member D(h, k, p), verified, cached per field and triple.
 
-    Built as T0 + h Th + k Tk + p Tp from :func:`_family_parts`; the cache
-    saves repeating ``verify`` for the triples a classification revisits.
+    Built as T0 + h Th + k Tk + p Tp from :func:`_family_parts`.  The cache
+    saves repeating ``verify`` for the triples a classification revisits;
+    it keeps the 16 most recently used, so one normalization sees the same
+    D(0, 0, 0) object throughout while a long run does not grow it.
     """
     key = (id(ctx), h, k, p)
-    hit = _make_cache.get(key)
+    hit = _make_cache.pop(key, None)
     if hit is not None:
+        _make_cache[key] = hit
         return hit[1]
     for c in (h, k, p):
         ctx.check(c)
@@ -109,6 +115,8 @@ def make_D(ctx: FieldCtx, h: Fe, k: Fe, p: Fe) -> DAlgebra:
     if not rep.passed:
         raise TheoremViolation(f"D({h},{k},{p}) fails axioms: {rep.failures[:1]}")
     _make_cache[key] = (ctx, alg)
+    if len(_make_cache) > _MAKE_CACHE_SIZE:
+        del _make_cache[next(iter(_make_cache))]
     return alg
 
 

@@ -109,6 +109,18 @@ class FieldCtx:
             return 0
         return self._exp[self._log[a] + self._log[b]]
 
+    def addmul(self, out: list, c: Fe, terms) -> None:
+        """out[p] ^= c r for every (p, r) in terms.
+
+        The one inner loop of every structure-constant contraction.
+        Preconditions: c is nonzero and every r is nonzero; a zero would
+        read the unused ``log[0]`` and add a wrong product.
+        """
+        exp, log = self._exp, self._log
+        lc = log[c]
+        for p, r in terms:
+            out[p] ^= exp[lc + log[r]]
+
     def inv(self, a: Fe) -> Fe:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(2^%d)" % self.k)

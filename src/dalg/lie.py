@@ -19,6 +19,8 @@ from .algebra import (
     AssocAlgebra2,
     AxiomReport,
     StructureConstants,
+    _contract,
+    _nonzero,
     vec_xor,
 )
 from .errors import BadDifferential, ShapeMismatch, TheoremViolation
@@ -62,36 +64,35 @@ def verify_lie(L: LieAlgebra2) -> AxiomReport:
     kernel basis decides it.
     """
     rep = AxiomReport("lie2")
-    n = L.n
-    T = L.tensor
+    n, ctx = L.n, L.ctx
+    T, terms = L.tensor, L.terms
     dd = L.dmat.mul(L.dmat)
     if not dd.is_zero():
         rep.record("d_squared", (), tuple(map(tuple, dd.rows)), ((),))
+    cols = L._columns()
+    dterms = L._d_terms()
+    U = L._times_d(dterms)
     for i in range(n):
-        di = L.dmat.col(i)
         for j in range(n):
-            dj = L.dmat.col(j)
-            lhs = L.d(T[i][j])
-            rhs = vec_xor(L.bracket(di, L.basis_vec(j)), L.bracket(L.basis_vec(i), dj))
+            lhs, rhs = L._leibniz_sides(dterms, cols, i, j)
             if lhs != rhs:
                 rep.record("bracket_derivation", (i, j), lhs, rhs)
-            twist = L.bracket(dj, di)
-            anti = vec_xor(vec_xor(T[i][j], T[j][i]), twist)
+            # [e_i,e_j] + [e_j,e_i] + [d e_j, d e_i]
+            anti = _contract(ctx, vec_xor(T[i][j], T[j][i]), dterms[j], U[i])
             if any(anti):
                 rep.record("twisted_antisymmetry", (i, j), anti, tuple([0] * n))
+    # W[i][k] = terms of [d e_i, e_k]; then [d e_j, [d e_i, e_k]] = sum_m W[i][k]^m W[j][m]
+    W = [[_nonzero(_contract(ctx, [0] * n, di, col)) for col in cols] for di in dterms]
     for i in range(n):
-        ei = L.basis_vec(i)
-        di = L.dmat.col(i)
+        ti, Wi = terms[i], W[i]
         for j in range(n):
-            ej = L.basis_vec(j)
-            dj = L.dmat.col(j)
+            tij, tj, Wj = ti[j], terms[j], W[j]
             for k in range(n):
-                ek = L.basis_vec(k)
-                lhs = vec_xor(
-                    vec_xor(L.bracket(ei, T[j][k]), L.bracket(ej, L.bracket(ei, ek))),
-                    L.bracket(dj, L.bracket(di, ek)),
-                )
-                rhs = L.bracket(T[i][j], ek)
+                # [e_i,[e_j,e_k]] + [e_j,[e_i,e_k]] + [d e_j,[d e_i,e_k]] = [[e_i,e_j],e_k]
+                lhs = _contract(ctx, [0] * n, tj[k], ti)
+                _contract(ctx, lhs, ti[k], tj)
+                _contract(ctx, lhs, Wi[k], Wj)
+                rhs = _contract(ctx, [0] * n, tij, cols[k])
                 if lhs != rhs:
                     rep.record("twisted_jacobi", (i, j, k), lhs, rhs)
     for x in L.ker_d().rows:

@@ -165,19 +165,20 @@ def poly_roots(p: UniPoly) -> tuple[Fe, ...]:
 
     g = gcd(p, t^(2^k) - t), taken by k squarings mod p, is the product of
     t - r over the distinct roots r.  It is split by gcds with the traces
-    Tr(beta t) = sum of (beta t)^(2^i), i < k, mod g for beta = 1, x, x^2,
-    ...: Tr(beta r) is 0 or 1 at each root, and two distinct roots differ
-    in it for some basis element beta because the trace form is
-    nondegenerate (Berlekamp, Math. Comp. 24, 1970).
+    Tr(beta t) = sum of beta^(2^i) t^(2^i), i < k, mod g for beta = 1, x,
+    x^2, ...: Tr(beta r) is 0 or 1 at each root, and two distinct roots
+    differ in it for some basis element beta because the trace form is
+    nondegenerate (Berlekamp, Math. Comp. 24, 1970).  The powers t^(2^i)
+    are the ones the squarings computed, reduced once per factor.
     """
     if p.is_zero():
         raise NotApplicable("zero polynomial has every element as a root")
     ctx = p.ctx
     t = UniPoly.x(ctx)
-    r = t % p
-    for _ in range(ctx.k):
-        r = _sq_mod(r, p)
-    g = poly_gcd(p, r + t)
+    pows = [t % p]  # t^(2^i) mod p for i < k
+    for _ in range(ctx.k - 1):
+        pows.append(_sq_mod(pows[-1], p))
+    g = poly_gcd(p, _sq_mod(pows[-1], p) + t)
     roots = []
     todo = [g] if g.degree > 0 else []
     while todo:
@@ -185,13 +186,15 @@ def poly_roots(p: UniPoly) -> tuple[Fe, ...]:
         if h.degree == 1:
             roots.append(h.coeffs[0])
             continue
+        # h divides p, so t^(2^i) mod h = (t^(2^i) mod p) mod h
+        hpows = [[(e, c) for e, c in enumerate((q % h).coeffs) if c] for q in pows]
         for i in range(ctx.k):
-            s = UniPoly(ctx, (0, 1 << i)) % h
-            tr = s
-            for _ in range(ctx.k - 1):
-                s = _sq_mod(s, h)
-                tr = tr + s
-            f = poly_gcd(h, tr)
+            beta = 1 << i
+            tr = [0] * h.degree
+            for q in hpows:
+                ctx.addmul(tr, beta, q)  # (beta t)^(2^i) = beta^(2^i) t^(2^i)
+                beta = ctx.sq(beta)
+            f = poly_gcd(h, UniPoly(ctx, tr))
             if 0 < f.degree < h.degree:
                 todo += [f, h // f]
                 break

@@ -70,8 +70,10 @@ def test_mul_matches_naive_oracle():
 
 def test_perturbed_structure_constant_pinpointed():
     ctx = field(2)
-    alg = truncated_poly_algebra(ctx, 3)
-    alg.tensor[1][2] = [1, 0, 0]  # t * t^2 = 1 breaks associativity
+    base = truncated_poly_algebra(ctx, 3)
+    tensor = [[list(v) for v in row] for row in base.tensor]
+    tensor[1][2] = [1, 0, 0]  # t * t^2 = 1 breaks associativity
+    alg = DAlgebra(ctx, tensor, base.dmat, 0)
     rep = alg.verify()
     assert not rep.passed
     # oracle: rescan associativity naively and collect witnesses

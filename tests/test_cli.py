@@ -222,6 +222,12 @@ def d_t3_tiny_gf16_text():
     return dumps(p)
 
 
+def t3_corrupt_text():
+    # t * t^2 = 1 in F[t]/(t^3): five associativity and two d_commutativity failures
+    text = dumps(truncated_poly_algebra(field(2), 3))
+    return text.replace("t 1 2: 0 0 0", "t 1 2: 1 0 0")
+
+
 @pytest.mark.parametrize(
     "golden, argv, source",
     [
@@ -229,6 +235,7 @@ def d_t3_tiny_gf16_text():
         ("invariants_rank3_deg5", ["invariants", "-"], lambda: RANK3_DEG5),
         ("check_d_not_closed", ["check", "-"], lambda: "P(1,0) / [x1^3 + xi1 x1] @ deg 5"),
         ("decompose_d_t3_tiny_gf16", ["decompose", "-"], d_t3_tiny_gf16_text),
+        ("check_t3_corrupt", ["check", "-"], t3_corrupt_text),
     ],
 )
 def test_report_matches_golden(golden, argv, source, capsys, monkeypatch):

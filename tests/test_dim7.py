@@ -178,6 +178,24 @@ def test_normalize_random_members():
     assert hits["plain"] and hits["extended"]
 
 
+def test_make_D_cache_is_bounded_and_keeps_canonical_identity():
+    from dalg import dim7
+
+    ctx = field(8)
+    rng = random.Random(47)
+    triples = set()
+    while len(triples) < 3 * dim7._MAKE_CACHE_SIZE:
+        triples.add(tuple(ctx.rand_nonzero(rng) for _ in range(3)))
+    canon = make_D(ctx, 0, 0, 0)
+    for h, k, p in sorted(triples):
+        # a hit refreshes the entry, so a model used every time stays cached
+        assert make_D(ctx, 0, 0, 0) is canon
+        d = make_D(ctx, h, k, p)
+        res = normalize7(change_basis(d, _random_unit_basis(d, rng))[0])
+        assert res.morphism.target is res.canonical
+        assert len(dim7._make_cache) <= dim7._MAKE_CACHE_SIZE
+
+
 def test_normalize_tiny_field_extends():
     ctx = field(1)
     res = normalize7(make_D(ctx, 1, 1, 0))
