@@ -161,6 +161,11 @@ class StructureConstants:
         n, ctx, terms = self.n, self.ctx, self.terms
         return [[_nonzero(_contract(ctx, [0] * n, dterms[i], terms[a])) for a in range(n)] for i in range(n)]
 
+    def _d_times(self, dterms, cols) -> list:
+        """W[i][k] = terms of d(e_i) e_k."""
+        n, ctx = self.n, self.ctx
+        return [[_nonzero(_contract(ctx, [0] * n, di, col)) for col in cols] for di in dterms]
+
     def _leibniz_sides(self, dterms, cols, i: int, j: int) -> tuple[Vec, Vec]:
         """d(e_i e_j) and d(e_i) e_j + e_i d(e_j)."""
         n, ctx, terms = self.n, self.ctx, self.terms

@@ -81,8 +81,8 @@ def verify_lie(L: LieAlgebra2) -> AxiomReport:
             anti = _contract(ctx, vec_xor(T[i][j], T[j][i]), dterms[j], U[i])
             if any(anti):
                 rep.record("twisted_antisymmetry", (i, j), anti, tuple([0] * n))
-    # W[i][k] = terms of [d e_i, e_k]; then [d e_j, [d e_i, e_k]] = sum_m W[i][k]^m W[j][m]
-    W = [[_nonzero(_contract(ctx, [0] * n, di, col)) for col in cols] for di in dterms]
+    # [d e_j, [d e_i, e_k]] = sum_m W[i][k]^m W[j][m]
+    W = L._d_times(dterms, cols)
     for i in range(n):
         ti, Wi = terms[i], W[i]
         for j in range(n):
@@ -114,27 +114,30 @@ def jacobi_seven_term_check(L: LieAlgebra2) -> AxiomReport:
 
     Equivalent to the twisted Jacobi law given the first two axioms; the
     test suite exercises both directions of that equivalence.
+
+    On a basis triple each term is a contraction, as in :func:`verify_lie`:
+    with U[i][a] = [e_a, d e_i] and W[i][k] = [d e_i, e_k], the inner
+    brackets [dz,dx], [dz,x], [y,dz] and [dy,z] are term lists and the
+    outer bracket contracts them with a column of the tensor or of U.
     """
     rep = AxiomReport("jacobi7")
-    n = L.n
-    br = L.bracket
+    n, ctx, T = L.n, L.ctx, L.terms
+    cols = L._columns()
+    dterms = L._d_terms()
+    U = L._times_d(dterms)
+    W = L._d_times(dterms, cols)
+    # DD[k][i] = terms of [d e_k, d e_i]
+    DD = [[_nonzero(_contract(ctx, [0] * n, dk, Ui)) for Ui in U] for dk in dterms]
     for i in range(n):
-        x, dx = L.basis_vec(i), L.dmat.col(i)
         for j in range(n):
-            y, dy = L.basis_vec(j), L.dmat.col(j)
             for k in range(n):
-                z, dz = L.basis_vec(k), L.dmat.col(k)
-                total = [0] * n
-                for t in (
-                    br(br(x, y), z),
-                    br(br(z, x), y),
-                    br(br(dz, dx), y),
-                    br(br(dz, x), dy),
-                    br(br(y, z), x),
-                    br(br(y, dz), dx),
-                    br(br(dy, z), dx),
-                ):
-                    total = vec_xor(total, t)
+                total = _contract(ctx, [0] * n, T[i][j], cols[k])
+                _contract(ctx, total, T[k][i], cols[j])
+                _contract(ctx, total, DD[k][i], cols[j])
+                _contract(ctx, total, W[k][i], U[j])
+                _contract(ctx, total, T[j][k], cols[i])
+                _contract(ctx, total, U[k][j], U[i])
+                _contract(ctx, total, W[j][k], U[i])
                 if any(total):
                     rep.record("jacobi_seven_term", (i, j, k), total, tuple([0] * n))
     return rep

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import Iterable, Sequence
 
-from .algebra import AxiomReport
+from .algebra import AxiomReport, _nonzero
 from .errors import DegreeOverflow, IndexOutOfRange, NotApplicable
 from .gf2k import Fe
 from .lie import LieAlgebra2
@@ -134,10 +134,9 @@ class StraightenCtx:
             raise NotApplicable(
                 "the first dim Im(d) basis vectors must span Im(d)"
             )
-        for j in range(L.n):
-            col = L.dmat.col(j)
-            if any(col[kk:]):
-                raise NotApplicable("a d-image leaks outside the prefix block")
+        dterms = L._d_terms()
+        if any(m >= kk for col in dterms for m, _ in col):
+            raise NotApplicable("a d-image leaks outside the prefix block")
         if preimages is None:
             preimages = [
                 solve_lex_least(ctx, L.dmat, L.basis_vec(i)) for i in range(kk)
@@ -153,14 +152,16 @@ class StraightenCtx:
         self.ctx = ctx
         self.kk = kk
         self.preimages = preimages
-        self._square_brackets = [L.bracket(w, w) for w in preimages]
+        # term lists: d(e_j), and [w, w] for the preimage w of e_i
+        self._dterms = dterms
+        self._square_brackets = [_nonzero(L.bracket(w, w)) for w in preimages]
         self._memos: dict = {}
 
     # -- word predicates ----------------------------------------------------
 
     def k_degree(self, w: Word) -> int:
-        dmat = self.L.dmat
-        return sum(1 for i in w if any(dmat.col(i)))
+        dterms = self._dterms
+        return sum(1 for i in w if dterms[i])
 
     def is_standard(self, w: Word) -> bool:
         for a, b in zip(w, w[1:]):
@@ -180,13 +181,17 @@ class StraightenCtx:
         return TElem(self._straighten(word, self._strategy_key(strategy)))
 
     def straighten_elem(self, t: TElem, strategy="leftmost") -> TElem:
-        ctx = self.ctx
         key = self._strategy_key(strategy)
         acc: dict = {}
         for w, c in t.terms.items():
-            for sw, sc in self._straighten(w, key).items():
-                _add_into(acc, sw, ctx.mul(c, sc))
+            self._accumulate(acc, c, w, key)
         return TElem(acc)
+
+    def _accumulate(self, acc: dict, c: Fe, word: Word, key) -> None:
+        """Add c times the normal form of word into acc."""
+        mul = self.ctx.mul
+        for sw, sc in self._straighten(word, key).items():
+            _add_into(acc, sw, mul(c, sc))
 
     def _strategy_key(self, strategy):
         if strategy in ("leftmost", "rightmost"):
@@ -219,9 +224,7 @@ class StraightenCtx:
         return result
 
     def _straighten_step(self, word: Word, key) -> dict:
-        L = self.L
-        ctx = self.ctx
-        mul = ctx.mul
+        mul = self.ctx.mul
         descents = [
             j for j in range(len(word) - 1) if word[j] > word[j + 1]
         ]
@@ -229,23 +232,14 @@ class StraightenCtx:
             j = descents[self._pick(key, word, len(descents))]
             hi, lo = word[j], word[j + 1]
             head, tail = word[:j], word[j + 2 :]
-            acc: dict = {}
-            for sw, sc in self._straighten(head + (lo, hi) + tail, key).items():
-                _add_into(acc, sw, sc)
-            dhi = L.dmat.col(hi)
-            dlo = L.dmat.col(lo)
-            for a, ca in enumerate(dlo):
-                if not ca:
-                    continue
-                for b, cb in enumerate(dhi):
-                    if not cb:
-                        continue
+            acc = dict(self._straighten(head + (lo, hi) + tail, key))
+            dhi = self._dterms[hi]
+            for a, ca in self._dterms[lo]:
+                for b, cb in dhi:
                     c = mul(ca, cb)
                     for sw, sc in self._straighten(head + (a, b) + tail, key).items():
                         _add_into(acc, sw, mul(c, sc))
-            for m, cm in enumerate(L.tensor[hi][lo]):
-                if not cm:
-                    continue
+            for m, cm in self.L.terms[hi][lo]:
                 for sw, sc in self._straighten(head + (m,) + tail, key).items():
                     _add_into(acc, sw, mul(cm, sc))
             return acc
@@ -258,10 +252,7 @@ class StraightenCtx:
             j = squares[self._pick(key, word, len(squares))]
             head, tail = word[:j], word[j + 2 :]
             acc = {}
-            bw = self._square_brackets[word[j]]
-            for m, cm in enumerate(bw):
-                if not cm:
-                    continue
+            for m, cm in self._square_brackets[word[j]]:
                 for sw, sc in self._straighten(head + (m,) + tail, key).items():
                     _add_into(acc, sw, mul(cm, sc))
             return acc
@@ -274,14 +265,12 @@ class StraightenCtx:
             raise DegreeOverflow(
                 f"product degree {a.degree + b.degree} exceeds bound {bound}"
             )
-        ctx = self.ctx
+        mul = self.ctx.mul
         key = self._strategy_key(strategy)
         acc: dict = {}
         for wa, ca in a.terms.items():
             for wb, cb in b.terms.items():
-                c = ctx.mul(ca, cb)
-                for sw, sc in self._straighten(wa + wb, key).items():
-                    _add_into(acc, sw, ctx.mul(c, sc))
+                self._accumulate(acc, mul(ca, cb), wa + wb, key)
         return TElem(acc)
 
     def u_one(self) -> TElem:
@@ -365,41 +354,50 @@ def verify_pbw(sctx: StraightenCtx, bound: int) -> AxiomReport:
     relation ideal the rewriting ever touches, so straightening killing
     them means no combination of standard words dies in the quotient.
     Also confirms the degree-1 words stay independent (the algebra embeds).
+
+    The relation (i j) + (j i) + d(j) d(i) + [i,j] is expanded once per
+    call into ``rel[i][j]``, its nonzero (middle word, coefficient) pairs;
+    i = j cancels there as it would in the sum.  Straightening is linear,
+    so the normal form of u rel w is the sum of c N(u x w) over those
+    pairs, accumulated straight from the leftmost memo without building
+    the relation as a :class:`TElem`.
     """
     L = sctx.L
     rep = AxiomReport("pbw")
     n = L.n
+    mul = sctx.ctx.mul
+    straighten = sctx._straighten
+    dterms = sctx._dterms
+    rel = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            r: dict = {}
+            _add_into(r, (i, j), 1)
+            _add_into(r, (j, i), 1)
+            for a, ca in dterms[j]:
+                for b, cb in dterms[i]:
+                    _add_into(r, (a, b), mul(ca, cb))
+            for m, c in L.terms[i][j]:
+                _add_into(r, (m,), c)
+            rel[i][j] = list(r.items())
     checked = 0
-    shells = [w for w in standard_words(n, sctx.kk, max(bound - 2, 0))]
+    shells = list(standard_words(n, sctx.kk, max(bound - 2, 0)))
     for u in shells:
         for w in shells:
             if len(u) + 2 + len(w) > bound:
                 continue
             for i in range(n):
                 for j in range(n):
-                    rel = TElem.from_word(u + (i, j) + w)
-                    rel += TElem.from_word(u + (j, i) + w)
-                    di = L.dmat.col(i)
-                    dj = L.dmat.col(j)
-                    dd: dict = {}
-                    for a, ca in enumerate(dj):
-                        if not ca:
-                            continue
-                        for b, cb in enumerate(di):
-                            if not cb:
-                                continue
-                            _add_into(dd, u + (a, b) + w, sctx.ctx.mul(ca, cb))
-                    rel += TElem(dd)
-                    rel += TElem(
-                        {u + (m,) + w: c for m, c in enumerate(L.tensor[i][j]) if c}
-                    )
-                    out = sctx.straighten_elem(rel)
+                    acc: dict = {}
+                    for x, c in rel[i][j]:
+                        for sw, sc in straighten(u + x + w, "leftmost").items():
+                            _add_into(acc, sw, mul(c, sc))
                     checked += 1
-                    if not out.is_zero():
+                    if acc:
                         rep.record(
                             "relation_straightens_to_zero",
                             (u, i, j, w),
-                            tuple(sorted(out.terms.items())),
+                            tuple(sorted(acc.items())),
                             (),
                         )
     for i in range(n):

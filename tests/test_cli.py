@@ -228,6 +228,12 @@ def t3_corrupt_text():
     return text.replace("t 1 2: 0 0 0", "t 1 2: 1 0 0")
 
 
+def gl3_e01_text():
+    # d = [E01, -]; its image is not leading, so both commands reorder the basis
+    e01 = Matrix(field(8), [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    return dumps(commutator_lie(gl_object(3, e01)))
+
+
 @pytest.mark.parametrize(
     "golden, argv, source",
     [
@@ -236,6 +242,12 @@ def t3_corrupt_text():
         ("check_d_not_closed", ["check", "-"], lambda: "P(1,0) / [x1^3 + xi1 x1] @ deg 5"),
         ("decompose_d_t3_tiny_gf16", ["decompose", "-"], d_t3_tiny_gf16_text),
         ("check_t3_corrupt", ["check", "-"], t3_corrupt_text),
+        ("pbw_verify_gl3_e01", ["pbw-verify", "-", "--bound", "4"], gl3_e01_text),
+        (
+            "confluence_gl3_e01",
+            ["confluence", "-", "--trials", "60", "--seed", "11", "--bound", "8"],
+            gl3_e01_text,
+        ),
     ],
 )
 def test_report_matches_golden(golden, argv, source, capsys, monkeypatch):

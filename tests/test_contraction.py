@@ -1,7 +1,7 @@
 """The law checks as structure-constant contractions, against dense loops.
 
-``dense_verify``, ``dense_verify_morphism`` and ``dense_verify_lie`` are
-the basis-vector loops the library used before its checks became sparse
+``dense_verify``, ``dense_verify_morphism``, ``dense_verify_lie`` and
+``dense_jacobi_seven_term_check`` are the basis-vector loops the library used before its checks became sparse
 contractions, kept verbatim (methods turned into functions of ``self``).
 Every report must print the same: the same failures, witnesses and
 vectors, in the same order.
@@ -25,6 +25,7 @@ from dalg import (
     direct_product_many,
     field,
     gl_object,
+    jacobi_seven_term_check,
     lemma_suite,
     normalize7,
     verify_lie,
@@ -165,6 +166,32 @@ def dense_verify_lie(L: LieAlgebra2) -> AxiomReport:
     return rep
 
 
+def dense_jacobi_seven_term_check(L: LieAlgebra2) -> AxiomReport:
+    rep = AxiomReport("jacobi7")
+    n = L.n
+    br = L.bracket
+    for i in range(n):
+        x, dx = L.basis_vec(i), L.dmat.col(i)
+        for j in range(n):
+            y, dy = L.basis_vec(j), L.dmat.col(j)
+            for k in range(n):
+                z, dz = L.basis_vec(k), L.dmat.col(k)
+                total = [0] * n
+                for t in (
+                    br(br(x, y), z),
+                    br(br(z, x), y),
+                    br(br(dz, dx), y),
+                    br(br(dz, x), dy),
+                    br(br(y, z), x),
+                    br(br(y, dz), dx),
+                    br(br(dy, z), dx),
+                ):
+                    total = vec_xor(total, t)
+                if any(total):
+                    rep.record("jacobi_seven_term", (i, j, k), total, tuple([0] * n))
+    return rep
+
+
 # -- inputs ---------------------------------------------------------------------
 
 KS = (1, 2, 4, 8, 16)
@@ -293,6 +320,21 @@ def test_verify_lie_matches_dense_loops(k):
             else:
                 failing += 1
     assert failing > 5 and passing > 2
+
+
+@pytest.mark.parametrize("k", (1, 2, 4, 8))
+def test_jacobi_seven_term_matches_dense_loop(k):
+    rng = random.Random(500 + k)
+    failing = passing = 0
+    for L in lie_inputs(k):
+        for v in variants(L, rng):
+            got = jacobi_seven_term_check(v)
+            assert str(got) == str(dense_jacobi_seven_term_check(v))
+            if got.passed:
+                passing += 1
+            else:
+                failing += 1
+    assert failing > 3 and passing > 3
 
 
 # -- term lists stay in step with the tensor --------------------------------------
