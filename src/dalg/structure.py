@@ -2,9 +2,13 @@
 
 The kernel of d is a central commutative subalgebra, and everything here
 runs through it: its primitive idempotents cut the algebra into local
-factors, its corner residues give the characters, and their kernels are
-the maximal ideals.  The defect (dim Ker - dim Im) bounds the number of
-factors, and defect-1 algebras carry a rigid normal basis.
+factors, the characters factor through them, and their kernels are the
+maximal ideals.  The nilradical, the idempotents and the characters all
+come from one kind of column, the Frobenius powers v^(2^t) of a basis,
+2^t at least its dimension: e_i^(2^t) for the nilradical, and for the
+characters the powers of the canonical basis of Ker(d).  The defect
+(dim Ker - dim Im) bounds the number of factors, and defect-1 algebras
+carry a rigid normal basis.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from .algebra import (
     Morphism,
     defect,
     direct_product_many,
-    quotient,
     subalgebra,
     verify_morphism,
 )
@@ -29,8 +32,7 @@ from .errors import (
 )
 from .gf2k import Fe, FieldCtx, fe_sqrt
 from .ideals import DIdeal, close, ideal_intersect, nilpotency_index
-from .linalg import CoordSolver, Matrix, Subspace, solve, solve_lex_least
-from .linalg import min_poly
+from .linalg import CoordSolver, Matrix, Subspace, extend_basis, solve_lex_least
 from .unipoly import UniPoly, poly_roots, squarefree_part
 
 __all__ = [
@@ -48,6 +50,24 @@ __all__ = [
 ]
 
 
+def _frobenius_powers(a: AssocAlgebra2, vecs: list) -> tuple:
+    """(t, [v^q for v in vecs]) for q = 2^t, the least with q >= len(vecs)."""
+    t = (len(vecs) - 1).bit_length()
+    out = []
+    for v in vecs:
+        for _ in range(t):
+            v = a.mul(v, v)
+        out.append(v)
+    return t, out
+
+
+def _root(ctx: FieldCtx, c: Fe, t: int) -> Fe:
+    """The 2^t-th root of c; the Frobenius is a bijection of GF(2^k)."""
+    for _ in range(t):
+        c = ctx.sqrt(c)
+    return c
+
+
 def nilradical(a: AssocAlgebra2) -> Subspace:
     """Nilpotent elements of a commutative algebra, as a subspace.
 
@@ -63,58 +83,71 @@ def nilradical(a: AssocAlgebra2) -> Subspace:
     if a.is_commutative() is not None:
         raise NotCommutative("nilradical computation needs a commutative algebra")
     ctx = a.ctx
-    t = (a.n - 1).bit_length()
-    cols = []
-    for i in range(a.n):
-        v = a.basis_vec(i)
-        for _ in range(t):
-            v = a.mul(v, v)
-        cols.append(v)
-    vecs = []
-    for w in Matrix.from_cols(ctx, cols, a.n).nullspace():
-        for _ in range(t):
-            w = [ctx.sqrt(c) for c in w]
-        vecs.append(w)
+    t, cols = _frobenius_powers(a, [a.basis_vec(i) for i in range(a.n)])
+    vecs = [[_root(ctx, c, t) for c in w] for w in Matrix.from_cols(ctx, cols, a.n).nullspace()]
     return Subspace(ctx, a.n, vecs)
 
 
-def _corner_rows(a: AssocAlgebra2, e) -> list:
-    return [a.mul(e, a.basis_vec(i)) for i in range(a.n)]
+def _hex(ctx: FieldCtx, v) -> str:
+    return " ".join(ctx.to_hex(c) for c in v)
 
 
-def _split_semisimple(a: DAlgebra) -> list:
-    """Primitive idempotents of a semisimple commutative algebra.
+def _multiple(ctx: FieldCtx, e, s):
+    """The c with s = c e, or None; e must be nonzero."""
+    p = next(i for i, x in enumerate(e) if x)
+    c = ctx.div(s[p], e[p])
+    return c if [ctx.mul(c, x) for x in e] == s else None
 
-    Splits corners along eigenspaces of an element whose minimal
-    polynomial has degree at least 2; Lagrange interpolation at its roots
-    produces the cutting idempotents.  Raises :class:`NonSplit` when a
-    minimal polynomial has too few roots in the field.
+
+def _times(a: DAlgebra, e) -> Matrix:
+    """The map x -> x e as a matrix: one product by e then costs n^2 field
+    multiplications, where a dense structure-constant product costs n^3."""
+    return Matrix.from_cols(a.ctx, [a.mul(a.basis_vec(i), e) for i in range(a.n)], a.n)
+
+
+def _split_idempotents(a: DAlgebra, t: int, cols: list) -> list:
+    """Primitive idempotents e, each with the scalars c where g^q e = c e.
+
+    cols holds g^q, q = 2^t >= dim B, for a basis g of a commutative
+    subalgebra B holding the idempotents (a itself, or Ker(d)).  On B,
+    x -> x^q is a ring map that kills the nilradical, so 1 and the columns
+    span a copy of the semisimple quotient, and an idempotent e has e^q = e.
+    e is primitive when its corner in that copy is F e; then g^q e is
+    lam(g)^q e for the character lam through e.  Otherwise the first
+    element s of the corner's canonical basis (in the coordinates of 1 and
+    the independent columns) that is no multiple of e cuts it: s is the
+    q-th power of a semisimple x, so its minimal polynomial has the degree
+    of x's and the roots r^q for x's roots r.  Lagrange interpolation at
+    them cuts e into smaller idempotents, queued in the order of the r.
+    Raises :class:`NonSplit` when the polynomial has too few roots in the
+    field (a residue field is a proper extension).
     """
     ctx = a.ctx
-    queue = [a.unit_vec()]
+    unit = a.unit_vec()
+    basis = [unit] + extend_basis(Subspace(ctx, a.n, [unit]), cols)
+    solver, span = CoordSolver(ctx, basis), Matrix.from_cols(ctx, basis, a.n)
+    queue = [unit]
     out = []
     while queue:
         e = queue.pop()
-        sp = Subspace(ctx, a.n, _corner_rows(a, e))
-        if sp.dim == 1:
-            out.append(e)
+        times_e = _times(a, e)
+        corner = Subspace(ctx, len(basis), [solver.coords(times_e.mul_vec(b)) for b in basis])
+        if corner.dim == 1:
+            out.append((e, [_multiple(ctx, e, times_e.mul_vec(f)) for f in cols]))
             continue
-        solver = CoordSolver(ctx, sp.rows)
-        pick = None
-        for b in sp.rows:
-            mat = Matrix.from_cols(
-                ctx, [solver.coords(a.mul(b, r)) for r in sp.rows]
-            )
-            mu = min_poly(mat)
-            if mu.degree >= 2:
-                pick = (b, mu)
+        rows = [span.mul_vec(r) for r in corner.rows]
+        s = next((x for x in rows if _multiple(ctx, e, x) is None), e)
+        powers = [e, s]
+        while True:
+            null = Matrix.from_cols(ctx, powers, a.n).nullspace()
+            if null:
                 break
-        if pick is None:
-            raise TheoremViolation("corner of dimension > 1 with only scalar elements")
-        b, mu = pick
+            powers.append(a.mul(powers[-1], s))
+        mu = UniPoly(ctx, null[0]).monic()
         if squarefree_part(mu).degree != mu.degree:
             raise TheoremViolation(
-                "semisimple quotient contains an element with a repeated eigenvalue"
+                f"minimal polynomial of [{_hex(ctx, s)}] in the corner of "
+                f"[{_hex(ctx, e)}] has a repeated root"
             )
         roots = poly_roots(mu)
         if len(roots) < mu.degree:
@@ -123,63 +156,45 @@ def _split_semisimple(a: DAlgebra) -> list:
                 f"{len(roots)} roots; extend the field",
                 suggested_k=2 * ctx.k,
             )
-        for r in roots:
+        for r in sorted(roots, key=lambda r: _root(ctx, r, t)):
             num = UniPoly.one(ctx)
-            den = 1
             for s2 in roots:
                 if s2 != r:
                     num = num * UniPoly(ctx, (s2, 1))
-                    den = ctx.mul(den, r ^ s2)
-            ell = num.scale(ctx.inv(den))
-            val = [0] * a.n
-            power = e
-            for c in ell.coeffs:
-                if c:
-                    val = [x ^ ctx.mul(c, y) for x, y in zip(val, power)]
-                power = a.mul(power, b)
+            coeffs = num.scale(ctx.inv(num(r))).coeffs
+            val = Matrix.from_cols(ctx, powers[: len(coeffs)], a.n).mul_vec(coeffs)
+            if not any(val) or val == e:
+                raise TheoremViolation(
+                    f"splitting idempotent [{_hex(ctx, e)}] along "
+                    f"[{_hex(ctx, s)}] yields no new piece"
+                )
             queue.append(val)
-    return out
-
-
-def primitive_idempotents(a: DAlgebra) -> list:
-    """Primitive idempotents of a commutative algebra, radical included.
-
-    Idempotents of the semisimple quotient lift through the nilradical by
-    repeated squaring (their residues are 0/1-valued, which the Frobenius
-    fixes).  The result is deterministic: sorted by coordinate vector.
-    """
-    ctx = a.ctx
-    rad = nilradical(a)
-    if rad.dim:
-        ss, proj = quotient(a, rad)
-    else:
-        ss, proj = a, None
-    idems = _split_semisimple(ss)
-    if proj is not None:
-        lifted = []
-        for eb in idems:
-            x = solve(ctx, proj.mat, eb)
-            for _ in range(a.n + 2):
-                if a.mul(x, x) == x:
-                    break
-                x = a.mul(x, x)
-            else:
-                raise TheoremViolation("idempotent lift failed to converge")
-            lifted.append(x)
-        idems = lifted
-    idems.sort()
-    unit = a.unit_vec()
+        if len(out) + len(queue) > a.n:
+            raise TheoremViolation(
+                f"splitting idempotent [{_hex(ctx, e)}] along "
+                f"[{_hex(ctx, s)}] gives more than {a.n} pieces"
+            )
+    out.sort()
     total = [0] * a.n
-    for i, e in enumerate(idems):
+    for i, (e, _) in enumerate(out):
         if a.mul(e, e) != e or any(a.d(e)):
-            raise TheoremViolation("lifted element is not a flat idempotent")
+            raise TheoremViolation(f"split element [{_hex(ctx, e)}] is not a flat idempotent")
         total = [x ^ y for x, y in zip(total, e)]
-        for f in idems[i + 1 :]:
+        for f, _ in out[i + 1 :]:
             if any(a.mul(e, f)):
                 raise TheoremViolation("primitive idempotents fail orthogonality")
     if total != unit:
         raise TheoremViolation("primitive idempotents do not sum to 1")
-    return idems
+    return out
+
+
+def primitive_idempotents(a: DAlgebra) -> list:
+    """Primitive idempotents of a commutative algebra, sorted by coordinates,
+    split out of the powers e_i^(2^t) by :func:`_split_idempotents`."""
+    if a.is_commutative() is not None:
+        raise NotCommutative("primitive idempotents need a commutative algebra")
+    t, cols = _frobenius_powers(a, [a.basis_vec(i) for i in range(a.n)])
+    return [e for e, _ in _split_idempotents(a, t, cols)]
 
 
 @dataclass
@@ -204,52 +219,34 @@ class Character:
 
 
 def characters(a: DAlgebra) -> list:
-    """All algebra maps a -> F, built from Ker(d) corner residues.
+    """All algebra maps a -> F, one per primitive idempotent of Ker(d).
 
-    Every character kills Im(d) and is determined on Ker(d); the value at
-    a general x is the square root of the character of x^2, which lands
-    back in the kernel.  The list is sorted by coefficient row and its
-    length equals the number of local factors.
+    Ker(d) holds every idempotent (e = e^2 gives d(e) = 2 e d(e) = 0).
+    :func:`_split_idempotents` on the powers k^q of its canonical basis k
+    gives e and lam(k)^q for the character lam through e.  x in Ker(d) is
+    sum x[p] k over the pivots p, and every square lies in Ker(d), so
+    lam(e_j) is the square root of lam(e_j^2).  The list is sorted by
+    coefficient row; its length is the number of local factors.
     """
     ctx = a.ctx
-    kalg, incl = subalgebra(a, a.ker_d().rows)
-    ksolver = CoordSolver(ctx, [incl.mat.col(t) for t in range(kalg.n)])
-    idems = primitive_idempotents(kalg)
+    ker = a.ker_d()
+    t, cols = _frobenius_powers(a, ker.rows)
+    squares = Matrix(ctx, [a.tensor[j][j] for j in range(a.n)], a.n)
     out = []
-    for e in idems:
-        corner, cincl = subalgebra(kalg, _corner_rows(kalg, e), unit=e)
-        crad = nilradical(corner)
-        if crad.dim:
-            cq, cproj = quotient(corner, crad)
-        else:
-            cq, cproj = corner, None
-        if cq.n != 1:
-            hx = " ".join(ctx.to_hex(c) for c in incl.apply(e))
-            raise TheoremViolation(f"corner residue of idempotent [{hx}] has dimension {cq.n}")
-        csolver = CoordSolver(ctx, [cincl.mat.col(t) for t in range(corner.n)])
-
-        def lam_k(u, _e=e, _cs=csolver, _cp=cproj):
-            w = kalg.mul(u, _e)
-            cc = _cs.coords(w)
-            if _cp is not None:
-                cc = _cp.apply(cc)
-            return cc[0]
-
-        functional = []
-        for j in range(a.n):
-            ej = a.basis_vec(j)
-            sq = ksolver.coords(a.mul(ej, ej))
-            functional.append(fe_sqrt(ctx, lam_k(sq)))
-        lam = Character(ctx, functional, incl.apply(e))
+    for e, scalars in _split_idempotents(a, t, cols):
+        on_ker = [0] * a.n
+        for p, c in zip(ker.pivots, scalars):
+            on_ker[p] = _root(ctx, c, t)
+        functional = [ctx.sqrt(c) for c in squares.mul_vec(on_ker)]
+        lam = Character(ctx, functional, e)
         if lam.of(a.unit_vec()) != 1:
             raise TheoremViolation("character misses 1 at the unit")
         for i in range(a.n):
             if lam.of(a.dmat.col(i)):
                 raise TheoremViolation("character fails to kill Im(d)")
-            li = lam.of(a.basis_vec(i))
+            li = functional[i]
             for j in range(a.n):
-                prod = a.mul(a.basis_vec(i), a.basis_vec(j))
-                if lam.of(prod) != ctx.mul(li, lam.of(a.basis_vec(j))):
+                if lam.of(a.tensor[i][j]) != ctx.mul(li, functional[j]):
                     raise TheoremViolation("character fails multiplicativity")
         out.append(lam)
     out.sort(key=lambda c: tuple(c.functional))
@@ -309,9 +306,10 @@ def decompose(a: DAlgebra) -> Decomposition:
     factors = []
     fprojs = []
     for e in idems:
-        f, fincl = subalgebra(a, _corner_rows(a, e), unit=e)
+        rows = [a.mul(e, a.basis_vec(j)) for j in range(a.n)]
+        f, fincl = subalgebra(a, rows, unit=e)
         fsolver = CoordSolver(ctx, [fincl.mat.col(t) for t in range(f.n)])
-        cols = [fsolver.coords(a.mul(e, a.basis_vec(j))) for j in range(a.n)]
+        cols = [fsolver.coords(r) for r in rows]
         factors.append(f)
         fprojs.append(Morphism(a, f, Matrix.from_cols(ctx, cols)))
     prod, pprojs = direct_product_many(factors)

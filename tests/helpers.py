@@ -57,6 +57,28 @@ def gf4_over_gf2_algebra() -> DAlgebra:
     return DAlgebra(ctx, tensor, Matrix.zeros(ctx, 2, 2), 0)
 
 
+def extension_field_algebra(ctx: FieldCtx, m: int, rng) -> DAlgebra:
+    """GF(2^(k m)) as the algebra F[x]/(p) over F = ctx, basis 1, x, ..., x^(m-1).
+
+    p is a random monic polynomial of degree m in {2, 3} without a root in
+    F, hence irreducible; the algebra is a field F cannot split.
+    """
+    from dalg import UniPoly, poly_roots
+
+    while True:
+        p = UniPoly(ctx, [ctx.rand(rng) for _ in range(m)] + [1])
+        if not poly_roots(p):
+            break
+    tensor = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            mono = UniPoly(ctx, [0] * (i + j) + [1]) % p
+            row.append(list(mono.coeffs) + [0] * (m - len(mono.coeffs)))
+        tensor.append(row)
+    return DAlgebra(ctx, tensor, Matrix.zeros(ctx, m, m), 0)
+
+
 def corpus_small() -> list[DAlgebra]:
     """Deterministic corpus of d-algebras of dimension at most 6.
 

@@ -1,4 +1,5 @@
 import io
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,10 @@ import pytest
 
 from dalg import (
     Matrix,
+    Subspace,
     TheoremViolation,
     abelian_lie,
+    change_basis,
     commutator_lie,
     direct_product,
     direct_product_many,
@@ -222,6 +225,24 @@ def d_t3_tiny_gf16_text():
     return dumps(p)
 
 
+def gf4_times_t2_text():
+    # GF(4) as an algebra over GF(2) is a field the base field cannot split
+    gf4, t2 = gf4_over_gf2_algebra(), truncated_poly_algebra(field(1), 2)
+    return dumps(direct_product(gf4, t2)[0])
+
+
+def d_t3_dense_gf16_text():
+    # two local factors, hidden behind a random basis that keeps the unit
+    ctx = field(16)
+    p, _, _ = direct_product(make_D(ctx, 0x1D, 0x7, 0x3A5), truncated_poly_algebra(ctx, 3))
+    r = random.Random(0x1D7)
+    while True:
+        rows = [p.unit_vec()] + [p.rand_vec(r) for _ in range(p.n - 1)]
+        if Subspace(ctx, p.n, rows).dim == p.n:
+            break
+    return dumps(change_basis(p, rows, unit=p.unit_vec())[0])
+
+
 def t3_corrupt_text():
     # t * t^2 = 1 in F[t]/(t^3): five associativity and two d_commutativity failures
     text = dumps(truncated_poly_algebra(field(2), 3))
@@ -248,6 +269,8 @@ def gl3_e01_text():
             ["confluence", "-", "--trials", "60", "--seed", "11", "--bound", "8"],
             gl3_e01_text,
         ),
+        ("decompose_gf4_t2_nonsplit", ["decompose", "-"], gf4_times_t2_text),
+        ("invariants_d_t3_dense_gf16", ["invariants", "-"], d_t3_dense_gf16_text),
     ],
 )
 def test_report_matches_golden(golden, argv, source, capsys, monkeypatch):

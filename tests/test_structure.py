@@ -20,7 +20,11 @@ from dalg import (
     verify_morphism,
 )
 from dalg import structure
+from dalg.algebra import quotient, subalgebra
 from dalg.dim7 import make_D
+from dalg.gf2k import fe_sqrt
+from dalg.linalg import CoordSolver, min_poly, solve
+from dalg.unipoly import UniPoly, poly_roots, squarefree_part
 from dalg.structure import (
     characters,
     decompose,
@@ -35,6 +39,7 @@ from dalg.algebra import defect
 
 from helpers import (
     corpus_small,
+    extension_field_algebra,
     field_as_algebra,
     gf4_over_gf2_algebra,
     tiny_d_algebra,
@@ -170,22 +175,33 @@ def _product_cases(k, seed):
         yield dense
 
 
+def former_decompose_nilradical_inputs(a, factors):
+    """The algebras decompose used to pass to nilradical, in its order.
+
+    For a and then each local factor: the Ker(d) subalgebra, then the
+    corner of that subalgebra at each of its primitive idempotents.
+    """
+    out = []
+    for alg in [a] + factors:
+        kalg, _ = subalgebra(alg, alg.ker_d().rows)
+        out.append(kalg)
+        for e in primitive_idempotents(kalg):
+            out.append(subalgebra(kalg, _corner_rows(kalg, e), unit=e)[0])
+    return out
+
+
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
-def test_nilradical_matches_gf2_oracle_inside_decompose(k, monkeypatch):
-    # every nilradical decompose asks for (Ker(d), its corners, each
-    # factor's locality check) must equal the GF(2) matrix-power answer
+def test_nilradical_matches_gf2_oracle_inside_decompose(k):
+    # decompose no longer computes a nilradical; the algebras it used to
+    # hand to nilradical (Ker(d), its corners, each factor's Ker(d) and
+    # corner) must still get the GF(2) matrix-power answer
     seen = []
-
-    def both(a):
-        got = nilradical(a)
-        assert got.rows == nilradical_gf2_powers(a).rows
-        seen.append(a.n)
-        return got
-
-    monkeypatch.setattr(structure, "nilradical", both)
     for a in _product_cases(k, 0x5EED + k):
         dec = structure.decompose(a)
         assert len(dec.factors) in (2, 3)
+        for b in former_decompose_nilradical_inputs(a, dec.factors):
+            assert nilradical(b).rows == nilradical_gf2_powers(b).rows
+            seen.append(b.n)
     assert len(seen) >= 30 and max(seen) == 12
 
 
@@ -196,6 +212,266 @@ def test_nilradical_of_truncated_poly_needs_every_doubling(m):
     a = truncated_poly_algebra(field(16), m)
     rad = nilradical(a)
     assert rad == Subspace(a.ctx, m, [a.basis_vec(i) for i in range(1, m)])
+
+
+# The former path to idempotents and characters, kept as an oracle: split
+# the semisimple quotient by minimal polynomials of corner elements, lift
+# through the nilradical by squaring, and read each character off a corner
+# residue of the Ker(d) subalgebra.
+
+
+def _corner_rows(a, e) -> list:
+    return [a.mul(e, a.basis_vec(i)) for i in range(a.n)]
+
+
+def _split_semisimple(a) -> list:
+    """Primitive idempotents of a semisimple commutative algebra.
+
+    Splits corners along eigenspaces of an element whose minimal
+    polynomial has degree at least 2; Lagrange interpolation at its roots
+    produces the cutting idempotents.  Raises :class:`NonSplit` when a
+    minimal polynomial has too few roots in the field.
+    """
+    ctx = a.ctx
+    queue = [a.unit_vec()]
+    out = []
+    while queue:
+        e = queue.pop()
+        sp = Subspace(ctx, a.n, _corner_rows(a, e))
+        if sp.dim == 1:
+            out.append(e)
+            continue
+        solver = CoordSolver(ctx, sp.rows)
+        pick = None
+        for b in sp.rows:
+            mat = Matrix.from_cols(
+                ctx, [solver.coords(a.mul(b, r)) for r in sp.rows]
+            )
+            mu = min_poly(mat)
+            if mu.degree >= 2:
+                pick = (b, mu)
+                break
+        if pick is None:
+            raise TheoremViolation("corner of dimension > 1 with only scalar elements")
+        b, mu = pick
+        if squarefree_part(mu).degree != mu.degree:
+            raise TheoremViolation(
+                "semisimple quotient contains an element with a repeated eigenvalue"
+            )
+        roots = poly_roots(mu)
+        if len(roots) < mu.degree:
+            raise NonSplit(
+                f"minimal polynomial of degree {mu.degree} has only "
+                f"{len(roots)} roots; extend the field",
+                suggested_k=2 * ctx.k,
+            )
+        for r in roots:
+            num = UniPoly.one(ctx)
+            den = 1
+            for s2 in roots:
+                if s2 != r:
+                    num = num * UniPoly(ctx, (s2, 1))
+                    den = ctx.mul(den, r ^ s2)
+            ell = num.scale(ctx.inv(den))
+            val = [0] * a.n
+            power = e
+            for c in ell.coeffs:
+                if c:
+                    val = [x ^ ctx.mul(c, y) for x, y in zip(val, power)]
+                power = a.mul(power, b)
+            queue.append(val)
+    return out
+
+
+def quotient_lift_idempotents(a) -> list:
+    """Primitive idempotents of a commutative algebra, radical included.
+
+    Idempotents of the semisimple quotient lift through the nilradical by
+    repeated squaring (their residues are 0/1-valued, which the Frobenius
+    fixes).  The result is deterministic: sorted by coordinate vector.
+    """
+    ctx = a.ctx
+    rad = nilradical(a)
+    if rad.dim:
+        ss, proj = quotient(a, rad)
+    else:
+        ss, proj = a, None
+    idems = _split_semisimple(ss)
+    if proj is not None:
+        lifted = []
+        for eb in idems:
+            x = solve(ctx, proj.mat, eb)
+            for _ in range(a.n + 2):
+                if a.mul(x, x) == x:
+                    break
+                x = a.mul(x, x)
+            else:
+                raise TheoremViolation("idempotent lift failed to converge")
+            lifted.append(x)
+        idems = lifted
+    idems.sort()
+    unit = a.unit_vec()
+    total = [0] * a.n
+    for i, e in enumerate(idems):
+        if a.mul(e, e) != e or any(a.d(e)):
+            raise TheoremViolation("lifted element is not a flat idempotent")
+        total = [x ^ y for x, y in zip(total, e)]
+        for f in idems[i + 1 :]:
+            if any(a.mul(e, f)):
+                raise TheoremViolation("primitive idempotents fail orthogonality")
+    if total != unit:
+        raise TheoremViolation("primitive idempotents do not sum to 1")
+    return idems
+
+
+def corner_residue_characters(a) -> list:
+    """All algebra maps a -> F, built from Ker(d) corner residues.
+
+    Every character kills Im(d) and is determined on Ker(d); the value at
+    a general x is the square root of the character of x^2, which lands
+    back in the kernel.  The list is sorted by coefficient row and its
+    length equals the number of local factors.
+    """
+    ctx = a.ctx
+    kalg, incl = subalgebra(a, a.ker_d().rows)
+    ksolver = CoordSolver(ctx, [incl.mat.col(t) for t in range(kalg.n)])
+    idems = quotient_lift_idempotents(kalg)
+    out = []
+    for e in idems:
+        corner, cincl = subalgebra(kalg, _corner_rows(kalg, e), unit=e)
+        crad = nilradical(corner)
+        if crad.dim:
+            cq, cproj = quotient(corner, crad)
+        else:
+            cq, cproj = corner, None
+        if cq.n != 1:
+            hx = " ".join(ctx.to_hex(c) for c in incl.apply(e))
+            raise TheoremViolation(f"corner residue of idempotent [{hx}] has dimension {cq.n}")
+        csolver = CoordSolver(ctx, [cincl.mat.col(t) for t in range(corner.n)])
+
+        def lam_k(u, _e=e, _cs=csolver, _cp=cproj):
+            w = kalg.mul(u, _e)
+            cc = _cs.coords(w)
+            if _cp is not None:
+                cc = _cp.apply(cc)
+            return cc[0]
+
+        functional = []
+        for j in range(a.n):
+            ej = a.basis_vec(j)
+            sq = ksolver.coords(a.mul(ej, ej))
+            functional.append(fe_sqrt(ctx, lam_k(sq)))
+        lam = structure.Character(ctx, functional, incl.apply(e))
+        if lam.of(a.unit_vec()) != 1:
+            raise TheoremViolation("character misses 1 at the unit")
+        for i in range(a.n):
+            if lam.of(a.dmat.col(i)):
+                raise TheoremViolation("character fails to kill Im(d)")
+            li = lam.of(a.basis_vec(i))
+            for j in range(a.n):
+                prod = a.mul(a.basis_vec(i), a.basis_vec(j))
+                if lam.of(prod) != ctx.mul(li, lam.of(a.basis_vec(j))):
+                    raise TheoremViolation("character fails multiplicativity")
+        out.append(lam)
+    out.sort(key=lambda c: tuple(c.functional))
+    return out
+
+
+def split_cases():
+    # the small corpus (GF(4) over GF(2) among them), sparse and dense
+    # products of local factors, and F[t]/(t^m) up to one past 2^4
+    yield from corpus_small()
+    for k in (1, 2, 4, 8, 16):
+        yield from _product_cases(k, 0x0AC1E + k)
+    for m in range(1, 18):
+        yield truncated_poly_algebra(field(16), m)
+
+
+def nonsplit_cases():
+    # a quadratic or cubic extension field over GF(2^k), alone or times
+    # local factors, in its own basis and in a random one keeping the unit
+    r = random.Random(0x5E7)
+    for k in (1, 2, 3, 4, 8):
+        ctx = field(k)
+        for m in (2, 3):
+            ext = extension_field_algebra(ctx, m, r)
+            for others in (
+                [],
+                [truncated_poly_algebra(ctx, 2)],
+                [tiny_d_algebra(ctx), truncated_poly_algebra(ctx, 3)],
+                [make_D(ctx, ctx.rand(r), ctx.rand(r), ctx.rand(r))],
+            ):
+                a = direct_product_many([ext] + others)[0] if others else ext
+                yield a
+                while True:
+                    rows = [a.unit_vec()] + [a.rand_vec(r) for _ in range(a.n - 1)]
+                    if Subspace(ctx, a.n, rows).dim == a.n:
+                        break
+                yield change_basis(a, rows, unit=a.unit_vec())[0]
+    yield conjugate_values_case()
+
+
+def conjugate_values_case():
+    # GF(4) x GF(8) over GF(2) on the basis 1, b, ... where b takes the
+    # conjugate values w and w^2 = w + 1 on the two factors: b splits the
+    # unit into both extension fields, and the order of the two pieces
+    # decides which residue field the NonSplit message names
+    ctx = field(2)
+    r = random.Random(0xC0)
+    p, projs = direct_product_many(
+        [extension_field_algebra(ctx, 2, r), extension_field_algebra(ctx, 3, r)]
+    )
+    stack = Matrix(ctx, [row for m in projs for row in m.mat.rows], p.n)
+    f2 = stack.inverse().mul_vec([0, 0, 1, 0, 0])
+    rows = [p.unit_vec(), [ctx.mul(2, u) ^ f for u, f in zip(p.unit_vec(), f2)]]
+    for i in range(p.n):
+        if Subspace(ctx, p.n, rows + [p.basis_vec(i)]).dim > len(rows):
+            rows.append(p.basis_vec(i))
+    return change_basis(p, rows, unit=p.unit_vec())[0]
+
+
+def _pairs(chars):
+    return [(c.functional, c.idempotent) for c in chars]
+
+
+def test_split_matches_quotient_lift_oracle():
+    compared = 0
+    for a in split_cases():
+        try:
+            want = _pairs(corner_residue_characters(a))
+        except NonSplit as exc:
+            with pytest.raises(NonSplit) as got:
+                characters(a)
+            assert (str(got.value), got.value.suggested_k) == (str(exc), exc.suggested_k)
+            continue
+        assert _pairs(characters(a)) == want
+        if a.is_commutative() is None:
+            assert primitive_idempotents(a) == quotient_lift_idempotents(a)
+        compared += 1
+    assert compared >= 120
+
+
+def test_nonsplit_matches_quotient_lift_oracle():
+    # both entry points raise what the former ones raised, word for word;
+    # characters splits Ker(d), primitive_idempotents the whole algebra,
+    # so the two may name different polynomials, as they did before
+    count = 0
+    for a in nonsplit_cases():
+        pairs = [(characters, corner_residue_characters)]
+        if a.is_commutative() is None:
+            pairs.append((primitive_idempotents, quotient_lift_idempotents))
+        for fn, oracle in pairs:
+            with pytest.raises(NonSplit) as got:
+                fn(a)
+            with pytest.raises(NonSplit) as want:
+                oracle(a)
+            assert (str(got.value), got.value.suggested_k) == (
+                str(want.value),
+                want.value.suggested_k,
+            )
+            assert got.value.suggested_k == 2 * a.ctx.k
+        count += 1
+    assert count >= 40
 
 
 # ---------------------------------------------------- primitive idempotents
@@ -290,9 +566,17 @@ def test_characters_match_bruteforce():
             field_as_algebra(ctx), truncated_poly_algebra(ctx, 2)
         )[0],
     ]
+    cases += [a for a in corpus_small() if 1 << (a.ctx.k * a.n) <= 4096]
+    assert len(cases) >= 40
     for a in cases:
+        want = bruteforce_characters(a)
+        if not want:
+            # a residue field is bigger than F (GF(4) over GF(2))
+            with pytest.raises(NonSplit):
+                characters(a)
+            continue
         got = sorted(c.functional for c in characters(a))
-        assert got == bruteforce_characters(a)
+        assert got == want
 
 
 def test_characters_of_product_split_by_factor():
@@ -440,6 +724,34 @@ def test_decompose_names_the_factor_that_is_not_local(monkeypatch):
     with pytest.raises(TheoremViolation) as exc:
         decompose(a)
     assert str(exc.value) == "a factor is not local: factor 0 of dimension 2"
+
+
+@pytest.mark.parametrize(
+    "wrong_roots, message",
+    [
+        (
+            lambda p: (poly_roots(p)[0],) * p.degree,
+            "splitting idempotent [0x1 0x0 0x0 0x0 0x0 0x0] along "
+            "[0x0 0x0 0x1 0x0 0x0 0x0] yields no new piece",
+        ),
+        (
+            lambda p: tuple(sorted(r ^ 2 for r in poly_roots(p))),
+            "splitting idempotent [0x9 0x0 0x3 0x0 0x0 0x0] along "
+            "[0x1 0x0 0x0 0x0 0x0 0x0] gives more than 6 pieces",
+        ),
+    ],
+)
+def test_decompose_names_the_split_that_goes_wrong(wrong_roots, message, monkeypatch):
+    # roots that do not annihilate the element give pieces that are not
+    # idempotents; the split must stop and name e and s, not loop or crash
+    ctx = field(4)
+    a, _ = direct_product_many(
+        [truncated_poly_algebra(ctx, 2), tiny_d_algebra(ctx), field_as_algebra(ctx)]
+    )
+    monkeypatch.setattr(structure, "poly_roots", wrong_roots)
+    with pytest.raises(TheoremViolation) as exc:
+        decompose(a)
+    assert str(exc.value) == message
 
 
 def test_decompose_names_both_counts_when_the_defect_is_exceeded(monkeypatch):
