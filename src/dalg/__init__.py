@@ -89,6 +89,7 @@ from .polyd import (
     mono_degree,
     mono_label,
     mono_sort_key,
+    monomial_count,
     present,
     quotient_to_dalgebra,
 )

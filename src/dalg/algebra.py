@@ -13,10 +13,21 @@ associativity, the unit laws and that d is a square-zero derivation;
 which is the commutativity constraint of the ambient symmetric tensor
 category in characteristic 2.
 
-All verification is exhaustive over basis tuples: every law checked here
-is multilinear in its arguments (the one exception, the [x,x] = 0 law for
-Lie objects, is handled in :mod:`dalg.lie` with its own justification), so
-basis tuples decide the law on the whole algebra.
+Every law checked here is multilinear in its arguments (the one
+exception, the [x,x] = 0 law for Lie objects, is handled in
+:mod:`dalg.lie` with its own justification), so basis tuples decide the
+law on the whole algebra.  All laws but associativity are checked on
+every basis tuple.  When all of them hold, associativity at (i, j, k) is
+checked with the middle index j in a generating set J only (Light's
+test); if that finds a failure, or another law failed, every (i, j, k) is
+checked, so reports list every failing tuple.  The middle nucleus
+N = {g : (x g) z = x (g z) for all x, z} is a subspace closed under
+products (for g, h in N, (x (g h)) z = ((x g) h) z = x ((g h) z)), it
+holds 1 by the unit laws, and it is closed under d because d is a
+derivation (apply d to (x g) z = x (g z)).  J is chosen so that 1 and
+the e_j, j in J, closed under d and under left multiplication by those
+e_j, span A; once every e_j with j in J lies in N, so does A.  Nothing is
+sampled.
 
 On a basis tuple each side of a law is a contraction of the structure
 constants T (and of the columns D of d): associativity at (i, j, k) reads
@@ -49,6 +60,7 @@ from .linalg import (
     extend_basis,
     nullspace_rows,
     rref_rows,
+    span_closure,
 )
 
 Tensor = list  # tensor[i][j] is the coordinate vector of e_i * e_j
@@ -222,9 +234,13 @@ class AssocAlgebra2(StructureConstants):
         return rep
 
     def _verify_assoc(self, rep: AxiomReport) -> list:
-        """Unit, associativity and derivation laws; returns d's term lists."""
-        n, ctx = self.n, self.ctx
-        T, terms = self.tensor, self.terms
+        """Unit, associativity and derivation laws; returns d's term lists.
+
+        The cheap laws run first; when they all hold, associativity is
+        scanned with the middle index in :meth:`_middle_generators` only.
+        """
+        n = self.n
+        T = self.tensor
         cols = self._columns()
         u = self.unit_idx
         for i in range(n):
@@ -235,31 +251,70 @@ class AssocAlgebra2(StructureConstants):
             rhs = T[i][u]
             if rhs != e:
                 rep.record("right_unit", (i,), rhs, e)
-        for i in range(n):
-            ti = terms[i]
-            for j in range(n):
-                tij, tj = ti[j], terms[j]
-                for k in range(n):
-                    if not tij and not tj[k]:
-                        continue  # both sides are zero
-                    # (e_i e_j) e_k = e_i (e_j e_k)
-                    left = _contract(ctx, [0] * n, tij, cols[k])
-                    right = _contract(ctx, [0] * n, tj[k], ti)
-                    if left != right:
-                        rep.record("associativity", (i, j, k), left, right)
+        derivation = AxiomReport(rep.kind)
         dd = self.dmat.mul(self.dmat)
         if not dd.is_zero():
-            rep.record("d_squared", (), tuple(map(tuple, dd.rows)), ((),))
+            derivation.record("d_squared", (), tuple(map(tuple, dd.rows)), ((),))
         dterms = self._d_terms()
         for i in range(n):
             for j in range(n):
                 lhs, rhs = self._leibniz_sides(dterms, cols, i, j)
                 if lhs != rhs:
-                    rep.record("leibniz", (i, j), lhs, rhs)
+                    derivation.record("leibniz", (i, j), lhs, rhs)
         du = self.dmat.col(u)
         if any(du):
-            rep.record("unit_differential", (u,), du, tuple([0] * n))
+            derivation.record("unit_differential", (u,), du, tuple([0] * n))
+        everywhere = range(n)
+        middle = everywhere if rep.failures or derivation.failures else self._middle_generators(dterms)
+        found = self._assoc_failures(cols, middle)
+        if found and len(middle) < n:
+            found = self._assoc_failures(cols, everywhere)
+        rep.failures += found + derivation.failures
         return dterms
+
+    def _middle_generators(self, dterms) -> list:
+        """Indices J such that checking (x e_j) z = x (e_j z) for j in J proves
+        associativity, given the unit laws and Leibniz.
+
+        e_j joins J, in basis order, when it lies outside W: the span of 1
+        and the chosen e_g, closed under d and under left multiplication by
+        each chosen e_g.  W ends as all of A; the module docstring says why
+        it lies in the middle nucleus once the scan over J passes.
+        """
+        n, ctx, terms = self.n, self.ctx, self.terms
+        middle: list = []
+
+        def grow(rows):
+            nz = [_nonzero(r) for r in rows]
+            out = [_contract(ctx, [0] * n, r, dterms) for r in nz]
+            return out + [_contract(ctx, [0] * n, r, terms[g]) for g in middle for r in nz]
+
+        span = Subspace(ctx, n, [self.unit_vec()])
+        for j in range(n):
+            if span.dim == n:
+                break
+            e = self.basis_vec(j)
+            if not span.contains(e):
+                middle.append(j)
+                span = span_closure(ctx, n, span.rows + [e], grow)
+        return middle
+
+    def _assoc_failures(self, cols, middle) -> list:
+        """(e_i e_j) e_k = e_i (e_j e_k) for every i, k and j in middle."""
+        n, ctx, terms = self.n, self.ctx, self.terms
+        out = AxiomReport(self.kind)
+        for i in range(n):
+            ti = terms[i]
+            for j in middle:
+                tij, tj = ti[j], terms[j]
+                for k in range(n):
+                    if not tij and not tj[k]:
+                        continue  # both sides are zero
+                    left = _contract(ctx, [0] * n, tij, cols[k])
+                    right = _contract(ctx, [0] * n, tj[k], ti)
+                    if left != right:
+                        out.record("associativity", (i, j, k), left, right)
+        return out.failures
 
     # -- derived subspaces --------------------------------------------------
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import comb
 from typing import Iterable, Sequence
 
 from .algebra import DAlgebra
@@ -38,6 +39,7 @@ __all__ = [
     "mono_sort_key",
     "Presentation",
     "enumerate_monomials",
+    "monomial_count",
     "quotient_to_dalgebra",
     "present",
 ]
@@ -326,8 +328,34 @@ def _tuples_bounded(length: int, total: int) -> Iterable[tuple[int, ...]]:
             yield (first,) + rest
 
 
+# enumerate_monomials refuses a free algebra with more normal monomials than
+# this.  They index the columns of a quotient's relation span, whose
+# elimination grows with the cube of their number; the largest count a
+# shipped input or benchmark workload reaches is 501.
+MAX_MONOMIALS = 4096
+
+
+def monomial_count(r: int, s: int, bound: int) -> int:
+    """Number of normal monomials of degree at most bound, without listing them.
+
+    p of the r xi's leave bound - p for r + s exponents, and stars and bars
+    counts those: sum over p of C(r, p) C(bound - p + r + s, r + s).
+    """
+    return sum(comb(r, p) * comb(bound - p + r + s, r + s) for p in range(min(r, bound) + 1))
+
+
 def enumerate_monomials(pa: PAlgebra, bound: int) -> list[PMono]:
-    """All normal monomials of degree at most bound, degree-sorted, 1 first."""
+    """All normal monomials of degree at most bound, degree-sorted, 1 first.
+
+    Raises :class:`NotApplicable` when there would be more than
+    ``MAX_MONOMIALS`` of them.
+    """
+    count = monomial_count(pa.r, pa.s, bound)
+    if count > MAX_MONOMIALS:
+        raise NotApplicable(
+            f"P({pa.r},{pa.s}) has {count} normal monomials of degree at most {bound},"
+            f" more than the {MAX_MONOMIALS} this package enumerates; lower the bound"
+        )
     out = []
     for y in _tuples_bounded(pa.s, bound):
         left_y = bound - sum(y)

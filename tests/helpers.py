@@ -122,14 +122,42 @@ def corpus_small() -> list[DAlgebra]:
 
 def random_dim7(rng) -> DAlgebra:
     """A random member of the 7-dimensional family in a random basis."""
-    from dalg import Subspace, change_basis, field as fld
+    from dalg import field as fld
     from dalg.dim7 import make_D
 
     ctx = fld(rng.choice([1, 2, 3, 4, 8]))
-    base = make_D(ctx, ctx.rand(rng), ctx.rand(rng), ctx.rand(rng))
+    return dense_rebase(make_D(ctx, ctx.rand(rng), ctx.rand(rng), ctx.rand(rng)), rng)
+
+
+def dense_rebase(a: DAlgebra, rng) -> DAlgebra:
+    """a rewritten on a random basis that keeps the unit at index 0."""
+    from dalg import Subspace, change_basis
+
     while True:
-        rows = [base.unit_vec()] + [base.rand_vec(rng) for _ in range(6)]
-        if Subspace(ctx, 7, rows).dim == 7:
-            break
-    moved, _ = change_basis(base, rows, unit=base.unit_vec())
-    return moved
+        rows = [a.unit_vec()] + [a.rand_vec(rng) for _ in range(a.n - 1)]
+        if Subspace(a.ctx, a.n, rows).dim == a.n:
+            return change_basis(a, rows, unit=a.unit_vec())[0]
+
+
+def square_corrupted(a: DAlgebra, i: int, m: int, c: int) -> DAlgebra:
+    """a with c added to coordinate m of e_i e_i.
+
+    With d = 0 and i not the unit this breaks associativity alone: the unit
+    laws and Leibniz do not read e_i e_i, and commutativity compares it with
+    itself.
+    """
+    tensor = [[list(v) for v in row] for row in a.tensor]
+    tensor[i][i][m] ^= c
+    return type(a)(a.ctx, tensor, a.dmat, a.unit_idx)
+
+
+def dense_assoc_corrupt_gf16() -> DAlgebra:
+    """F[t]/(t^3) x F[t]/(t^2) over GF(2^16) in a seeded dense basis, with
+    the unit coordinate of e_1 e_1 changed: it fails associativity only."""
+    import random
+
+    from dalg import direct_product
+
+    ctx = field(16)
+    p, _, _ = direct_product(truncated_poly_algebra(ctx, 3), truncated_poly_algebra(ctx, 2))
+    return square_corrupted(dense_rebase(p, random.Random(0xA550C)), 1, 0, 1)

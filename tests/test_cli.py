@@ -2,16 +2,15 @@ import io
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from dalg import (
     Matrix,
-    Subspace,
     TheoremViolation,
     abelian_lie,
-    change_basis,
     commutator_lie,
     direct_product,
     direct_product_many,
@@ -21,7 +20,13 @@ from dalg import (
 )
 from dalg.cli import main
 from dalg.dim7 import make_D, normalize7
-from helpers import gf4_over_gf2_algebra, tiny_d_algebra, truncated_poly_algebra
+from helpers import (
+    dense_assoc_corrupt_gf16,
+    dense_rebase,
+    gf4_over_gf2_algebra,
+    tiny_d_algebra,
+    truncated_poly_algebra,
+)
 
 D_SOURCE = "P(2,0) / [x1^2, x2^2, x1*x2, xi1*x1, xi2*x2, xi1*x2 + xi2*x1] @ deg 4"
 RANK3_DEG5 = (
@@ -118,6 +123,19 @@ def test_huge_n_header_exits_2(capsys, monkeypatch):
     assert code == 2
     got = kv(text)
     assert got["error"] == "input" and got["message"] == "missing tensor entry t 0 0"
+
+
+@pytest.mark.parametrize(
+    "source, estimate",
+    [("P(1,0) / [] @ deg 100000", "200001"), ("P(30,30) / [] @ deg 12", "896455251259204")],
+)
+def test_oversized_presentation_exits_2_at_once(source, estimate, capsys, monkeypatch):
+    start = time.perf_counter()
+    code, text = run(capsys, ["invariants", "-"], source, monkeypatch)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    got = kv(text)
+    assert got["error"] == "input" and f" has {estimate} normal monomials " in got["message"]
 
 
 def test_missing_file_exits_2(capsys):
@@ -235,12 +253,7 @@ def d_t3_dense_gf16_text():
     # two local factors, hidden behind a random basis that keeps the unit
     ctx = field(16)
     p, _, _ = direct_product(make_D(ctx, 0x1D, 0x7, 0x3A5), truncated_poly_algebra(ctx, 3))
-    r = random.Random(0x1D7)
-    while True:
-        rows = [p.unit_vec()] + [p.rand_vec(r) for _ in range(p.n - 1)]
-        if Subspace(ctx, p.n, rows).dim == p.n:
-            break
-    return dumps(change_basis(p, rows, unit=p.unit_vec())[0])
+    return dumps(dense_rebase(p, random.Random(0x1D7)))
 
 
 def t3_corrupt_text():
@@ -271,6 +284,7 @@ def gl3_e01_text():
         ),
         ("decompose_gf4_t2_nonsplit", ["decompose", "-"], gf4_times_t2_text),
         ("invariants_d_t3_dense_gf16", ["invariants", "-"], d_t3_dense_gf16_text),
+        ("check_dense_assoc_corrupt_gf16", ["check", "-"], lambda: dumps(dense_assoc_corrupt_gf16())),
     ],
 )
 def test_report_matches_golden(golden, argv, source, capsys, monkeypatch):

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from dalg import (
+    AssocAlgebra2,
     DAlgebra,
     LieAlgebra2,
     Matrix,
@@ -35,7 +36,14 @@ from dalg.algebra import AxiomReport, vec_xor
 from dalg.errors import DimensionMismatch, ShapeMismatch
 from dalg.dim7 import make_D
 
-from helpers import corpus_small, random_dim7, tiny_d_algebra, truncated_poly_algebra
+from helpers import (
+    corpus_small,
+    dense_rebase,
+    random_dim7,
+    square_corrupted,
+    tiny_d_algebra,
+    truncated_poly_algebra,
+)
 
 
 # -- the dense loops ----------------------------------------------------------
@@ -240,22 +248,108 @@ def algebra_inputs(k):
     return out
 
 
+def dense_products(k):
+    """Products of local factors in a random basis, as decompose meets them: n = 10, 12, 14."""
+    if k not in (1, 8, 16):
+        return []
+    ctx = field(k)
+    rng = random.Random(400 + k)
+    d = make_D(ctx, ctx.rand(rng), ctx.rand(rng), ctx.rand(rng))
+    factors = [
+        [d, truncated_poly_algebra(ctx, 3)],
+        [d, tiny_d_algebra(ctx), truncated_poly_algebra(ctx, 2)],
+        [d, truncated_poly_algebra(ctx, 3), truncated_poly_algebra(ctx, 4)],
+    ]
+    return [dense_rebase(direct_product_many(fs)[0], rng) for fs in factors]
+
+
+def assoc_only_corruptions(k):
+    """d = 0 algebras, sparse and dense, with one entry of some e_i e_i, i > 0, changed."""
+    ctx = field(k)
+    rng = random.Random(600 + k)
+    t = [truncated_poly_algebra(ctx, m) for m in (2, 3, 4)]
+    bases = [t[2], direct_product_many(t)[0], dense_rebase(direct_product_many(t[1:])[0], rng)]
+    out = []
+    for a in bases:
+        for _ in range(3):
+            out.append(square_corrupted(a, rng.randrange(1, a.n), rng.randrange(a.n), ctx.rand_nonzero(rng)))
+    return out
+
+
+@pytest.fixture
+def middle_sizes(monkeypatch):
+    """Records len(middle) of every associativity scan."""
+    sizes = []
+    scan = AssocAlgebra2._assoc_failures
+
+    def spy(self, cols, middle):
+        sizes.append(len(middle))
+        return scan(self, cols, middle)
+
+    monkeypatch.setattr(AssocAlgebra2, "_assoc_failures", spy)
+    return sizes
+
+
 # -- the comparisons ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("k", KS)
-def test_verify_matches_dense_loops(k):
+def test_verify_matches_dense_loops(k, middle_sizes):
     rng = random.Random(k)
     failing = passing = 0
-    for a in algebra_inputs(k):
-        for v in variants(a, rng):
-            got = v.verify()
-            assert str(got) == str(dense_verify(v))
-            if got.passed:
-                passing += 1
-            else:
-                failing += 1
+    cases = [v for a in algebra_inputs(k) for v in variants(a, rng)]
+    # the dense loops are slow at n = 14, so these take one edit of each kind
+    cases += [v for a in dense_products(k) for v in (a, perturbed(a, rng, 1, 1))]
+    for v in cases:
+        got = v.verify()
+        assert str(got) == str(dense_verify(v))
+        if got.passed:
+            passing += 1
+        else:
+            failing += 1
     assert failing > 10 and passing > 3
+    # the reduced scan, not the fallback, meets these corruptions first
+    broken = 0
+    for v in assoc_only_corruptions(k):
+        middle_sizes.clear()
+        got = v.verify()
+        assert str(got) == str(dense_verify(v))
+        assert middle_sizes[0] < v.n
+        assert {f.axiom for f in got.failures} <= {"associativity"}
+        broken += not got.passed
+    assert broken >= 6
+
+
+def unital_gf2_dim3():
+    """Every unital product on GF(2)^3 with e_0 = 1: the four products of
+    e_1, e_2 range over all 2^12 choices."""
+    ctx = field(1)
+    for bits in range(1 << 12):
+        tensor = [[[int(0 in (i, j) and m == i + j) for m in range(3)] for j in range(3)] for i in range(3)]
+        for s, (i, j) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2)]):
+            tensor[i][j] = [bits >> (3 * s + m) & 1 for m in range(3)]
+        yield AssocAlgebra2(ctx, tensor, Matrix.zeros(ctx, 3, 3))
+
+
+def test_verify_matches_dense_loops_on_every_gf2_dim3_algebra(middle_sizes):
+    ctx = field(1)
+    associative, one_failure = [], []
+    for a in unital_gf2_dim3():
+        middle_sizes.clear()
+        got = a.verify()
+        assert str(got) == str(dense_verify(a))
+        assert middle_sizes[0] < a.n
+        if len(got.failures) <= 1:
+            (one_failure if got.failures else associative).append(a)
+    assert (len(associative), len(one_failure)) == (76, 32)
+    # every d with d(1) = 0, derivation or not, square-zero or not; on the
+    # algebras with one failing triple, a d that is not a derivation would
+    # let a reduced scan miss it
+    for a in associative + one_failure:
+        for bits in range(1 << 6):
+            cols = [[0, 0, 0]] + [[bits >> (3 * c + m) & 1 for m in range(3)] for c in range(2)]
+            v = AssocAlgebra2(ctx, a.tensor, Matrix.from_cols(ctx, cols, 3))
+            assert str(v.verify()) == str(dense_verify(v))
 
 
 def random_morphism(src, tgt, rng):

@@ -17,6 +17,7 @@ from dalg import (
     lemma_suite,
     mono_degree,
     mono_label,
+    monomial_count,
     present,
     quotient_to_dalgebra,
     verify_morphism,
@@ -89,6 +90,12 @@ def test_mono_mul_associative():
 def test_mono_label():
     assert mono_label(((0, 2), 1, (3, 0))) == "y2^2 xi1 x1^3"
     assert mono_label(((0, 0), 0, (0, 0))) == "1"
+
+
+def test_monomial_count_matches_enumeration():
+    ctx = field(1)
+    for r, s, bound in itertools.product(range(4), range(3), range(6)):
+        assert monomial_count(r, s, bound) == len(enumerate_monomials(PAlgebra(ctx, r, s), bound))
 
 
 def test_enumerate_monomials_order():
