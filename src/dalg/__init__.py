@@ -122,6 +122,8 @@ from .pbw import (
     TElem,
     confluence_test,
     ordered_for_straightening,
+    prove_pbw,
+    sandwich_count,
     standard_count,
     standard_words,
     verify_pbw,

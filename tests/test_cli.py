@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from dalg import (
+    LieAlgebra2,
     Matrix,
     TheoremViolation,
     abelian_lie,
@@ -18,8 +19,10 @@ from dalg import (
     field,
     gl_object,
 )
+from dalg import cli
 from dalg.cli import main
 from dalg.dim7 import make_D, normalize7
+from dalg.pbw import MAX_SANDWICHED
 from helpers import (
     dense_assoc_corrupt_gf16,
     dense_rebase,
@@ -307,6 +310,48 @@ def test_pbw_verify_reorders_when_image_is_not_leading(capsys, monkeypatch):
     code, text = run(capsys, ["pbw-verify", "-", "--bound", "2"], dumps(flipped), monkeypatch)
     assert code == 0
     assert kv(text)["reordered"] == "yes"
+
+
+def lineal_lie_text():
+    # the 2-dim abelian lie2 with d(e1) = e0
+    return dumps(abelian_lie(field(1), 2, dmat=[[0, 1], [0, 0]]))
+
+
+def test_pbw_verify_at_bound_400_answers_from_the_proof(capsys, monkeypatch):
+    start = time.perf_counter()
+    code, text = run(capsys, ["pbw-verify", "-", "--bound", "400"], lineal_lie_text(), monkeypatch)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "  checked 1270420 sandwiched relations at bound 400" in text.splitlines()
+
+
+def test_confluence_on_3000_letter_words_exits_0(tmp_path):
+    path = tmp_path / "lineal.lie"
+    path.write_text(lineal_lie_text())
+    proc = subprocess.run(
+        [sys.executable, "-m", "dalg.cli", "confluence", str(path), "--bound", "3000", "--trials", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "confluence: pass" in proc.stdout.splitlines()
+
+
+def test_pbw_verify_refuses_a_large_scan_with_exit_2(capsys, monkeypatch):
+    # [e0, e0] = e1 breaks the alternating law, so the proof fails and the
+    # scan would take 4 C(402, 4) relations; loads rejects such a bracket,
+    # so the algebra is handed to the command past the loader
+    ctx = field(1)
+    bad = LieAlgebra2(ctx, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]], Matrix.zeros(ctx, 2, 2))
+    monkeypatch.setattr(cli, "_load_object", lambda text, args: bad)
+    start = time.perf_counter()
+    code, text = run(capsys, ["pbw-verify", "-", "--bound", "400"], "", monkeypatch)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    got = kv(text)
+    assert got["error"] == "input"
+    assert got["message"].startswith(f"4287973200 sandwiched relations at bound 400, more than the {MAX_SANDWICHED} ")
 
 
 def test_confluence_deterministic_output(capsys, monkeypatch):

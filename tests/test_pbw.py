@@ -9,7 +9,11 @@ from dalg.pbw import (
     ConfluenceReport,
     StraightenCtx,
     TElem,
+    _scan_pbw,
     confluence_test,
+    ordered_for_straightening,
+    prove_pbw,
+    sandwich_count,
     standard_count,
     standard_words,
     verify_pbw,
@@ -116,6 +120,14 @@ def test_straighten_idempotent_fuzz():
         w = tuple(rng.randrange(4) for _ in range(rng.randrange(6)))
         out = s.straighten(w)
         assert s.straighten_elem(out) == out
+
+
+def test_straighten_long_word_needs_no_recursion():
+    # 1500 chained rewrites move the single 0 to the front
+    s = StraightenCtx(lineal_lie(field(1)))
+    word = (1,) * 1500 + (0,) + (1,) * 1499
+    assert len(word) == 3000
+    assert s.straighten(word) == TElem.from_word((0,) + (1,) * 2999)
 
 
 def test_straighten_rejects_bad_letters():
@@ -307,6 +319,37 @@ def test_standard_count_matches_enumeration():
         assert len(words) == len(set(words))
         assert standard_count(m, kk, deg) == len(words)
         assert all(len(w) <= deg for w in words)
+    # deeper than the recursion limit
+    assert sum(1 for _ in standard_words(1, 0, 3000)) == standard_count(1, 0, 3000) == 3001
+
+
+def test_sandwich_count_matches_the_scan():
+    ctx = field(1)
+    for n in (1, 2, 3):
+        for kk in (0, 1):
+            if kk >= n:
+                continue
+            d = Matrix.zeros(ctx, n, n)
+            if kk:
+                d = Matrix(ctx, [[int(i == 0 and j == 1) for j in range(n)] for i in range(n)])
+            s = StraightenCtx(abelian_lie(ctx, n, d))
+            assert s.kk == kk
+            for bound in range(6):
+                note = _scan_pbw(s, bound).notes[-1]
+                assert note == f"checked {sandwich_count(n, kk, bound)} sandwiched relations at bound {bound}"
+
+
+def test_sandwich_count_closed_form_values():
+    assert sandwich_count(4, 2, 1) == sandwich_count(3, 0, -5) == 0
+    assert sandwich_count(4, 2, 2) == 16
+    assert sandwich_count(2, 1, 400) == 1270420
+    # beyond any enumeration: n^2 times the sum over |u| of
+    # (standard words of degree |u|) x (standard words of degree <= top - |u|)
+    for n, kk, bound in [(2, 1, 3000), (9, 4, 40), (5, 0, 30)]:
+        top = bound - 2
+        exact = [standard_count(n, kk, a) - (standard_count(n, kk, a - 1) if a else 0) for a in range(top + 1)]
+        pairs = sum(exact[a] * standard_count(n, kk, top - a) for a in range(top + 1))
+        assert sandwich_count(n, kk, bound) == n * n * pairs
 
 
 # -------------------------------------------------------------- verify_pbw
@@ -324,6 +367,18 @@ def test_verify_pbw_gl2():
     rep = verify_pbw(s, 4)
     assert rep.passed
     assert rep.notes
+
+
+def test_prove_pbw_on_passing_and_failing_algebras():
+    ctx = field(2)
+    assert prove_pbw(StraightenCtx(jordan_lie(ctx)))
+    assert prove_pbw(StraightenCtx(abelian_lie(ctx, 3)))
+    assert prove_pbw(StraightenCtx(lineal_lie(ctx)))
+    gl3 = commutator_lie(gl_object(3, Matrix(ctx, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])))
+    assert prove_pbw(ordered_for_straightening(gl3)[0])
+    assert not prove_pbw(StraightenCtx(axiom4_violator(ctx)))
+    # d(e0) = e0: the prefix letter is not killed by d, so no order applies
+    assert not prove_pbw(StraightenCtx(abelian_lie(ctx, 1, Matrix(ctx, [[1]]))))
 
 
 def test_verify_pbw_fails_without_alternating_law():
@@ -367,6 +422,14 @@ def test_preimage_choice_is_irrelevant():
     for _ in range(80):
         w = tuple(rng.randrange(4) for _ in range(rng.randrange(6)))
         assert base.straighten(w) == alt.straighten(w)
+
+
+def test_confluence_from_the_proof_on_long_words():
+    s = StraightenCtx(lineal_lie(field(1)))
+    rep = confluence_test(s, trials=2, max_len=3000, seed=0)
+    assert rep.passed and rep.words_checked == 2
+    # nothing was straightened beyond the proof's words of length <= 3
+    assert max(len(w) for memo in s._memos.values() for w in memo) <= 3
 
 
 def test_confluence_on_d_free_lie():

@@ -3,9 +3,10 @@
 ``dense_verify_pbw`` is the loop the library used before relations were
 straightened from precomputed term lists: each sandwiched relation is a
 sum of per-word :class:`TElem` s, straightened by ``straighten_elem``.
-It runs on ``DenseStraightenCtx``, whose rewrite step is the earlier one
-that scans dense d-columns and tensor vectors.  Every report must print
-the same: the same failures, witnesses and vectors, in the same order.
+It runs on ``DenseStraightenCtx``, whose rewrite rules are the earlier
+ones that scan dense d-columns and tensor vectors.  Every report must
+print the same: the same failures, witnesses and vectors, in the same
+order, whether :func:`verify_pbw` answers from its proof or its scan.
 """
 
 from __future__ import annotations
@@ -16,12 +17,16 @@ import pytest
 
 from dalg import Matrix, field
 from dalg.algebra import AxiomReport
-from dalg.lie import LieAlgebra2, abelian_lie, commutator_lie, gl_object
+from dalg.lie import LieAlgebra2, abelian_lie, commutator_lie, gl_object, verify_lie
 from dalg.pbw import (
     StraightenCtx,
     TElem,
     _add_into,
+    _fuzz_confluence,
+    _scan_pbw,
+    confluence_test,
     ordered_for_straightening,
+    prove_pbw,
     standard_words,
     verify_pbw,
 )
@@ -33,57 +38,30 @@ from test_pbw import axiom4_violator, jordan_lie
 
 
 class DenseStraightenCtx(StraightenCtx):
-    """The rewrite step on dense d-columns, tensor vectors and [w, w]."""
+    """The rewrite rules on dense d-columns, tensor vectors and [w, w]."""
 
-    def _straighten_step(self, word, key):
+    def _one_step(self, word, j):
         L = self.L
-        ctx = self.ctx
-        mul = ctx.mul
-        descents = [
-            j for j in range(len(word) - 1) if word[j] > word[j + 1]
-        ]
-        if descents:
-            j = descents[self._pick(key, word, len(descents))]
-            hi, lo = word[j], word[j + 1]
-            head, tail = word[:j], word[j + 2 :]
-            acc: dict = {}
-            for sw, sc in self._straighten(head + (lo, hi) + tail, key).items():
-                _add_into(acc, sw, sc)
-            dhi = L.dmat.col(hi)
-            dlo = L.dmat.col(lo)
-            for a, ca in enumerate(dlo):
-                if not ca:
-                    continue
-                for b, cb in enumerate(dhi):
-                    if not cb:
-                        continue
-                    c = mul(ca, cb)
-                    for sw, sc in self._straighten(head + (a, b) + tail, key).items():
-                        _add_into(acc, sw, mul(c, sc))
-            for m, cm in enumerate(L.tensor[hi][lo]):
-                if not cm:
-                    continue
-                for sw, sc in self._straighten(head + (m,) + tail, key).items():
-                    _add_into(acc, sw, mul(cm, sc))
-            return acc
-        squares = [
-            j
-            for j in range(len(word) - 1)
-            if word[j] == word[j + 1] and word[j] < self.kk
-        ]
-        if squares:
-            j = squares[self._pick(key, word, len(squares))]
-            head, tail = word[:j], word[j + 2 :]
-            acc = {}
-            w = self.preimages[word[j]]
-            bw = L.bracket(w, w)
-            for m, cm in enumerate(bw):
-                if not cm:
-                    continue
-                for sw, sc in self._straighten(head + (m,) + tail, key).items():
-                    _add_into(acc, sw, mul(cm, sc))
-            return acc
-        return {word: 1}
+        mul = self.ctx.mul
+        a, b = word[j], word[j + 1]
+        head, tail = word[:j], word[j + 2 :]
+        out = []
+        if a == b:
+            w = self.preimages[a]
+            for m, cm in enumerate(L.bracket(w, w)):
+                if cm:
+                    out.append((head + (m,) + tail, cm))
+            return out
+        out.append((head + (b, a) + tail, 1))
+        da = L.dmat.col(a)
+        for x, cx in enumerate(L.dmat.col(b)):
+            for y, cy in enumerate(da):
+                if cx and cy:
+                    out.append((head + (x, y) + tail, mul(cx, cy)))
+        for m, cm in enumerate(L.tensor[a][b]):
+            if cm:
+                out.append((head + (m,) + tail, cm))
+        return out
 
 
 def dense_verify_pbw(sctx: StraightenCtx, bound: int) -> AxiomReport:
@@ -194,3 +172,43 @@ def test_verify_pbw_matches_dense_loop(k):
                 else:
                     failing += 1
     assert failing > 5 and passing > 5
+
+
+# -- the diamond-lemma proof against the scan and the fuzz, exhaustively ---------
+
+
+def every_gf2_plane():
+    """All 256 bracket tensors on GF(2)^2 with each of the 4 square-zero d.
+
+    Non-alternating, non-Jacobi and non-derivation brackets are included:
+    the proof must fail wherever the scan or the fuzz finds a witness.
+    """
+    ctx = field(1)
+    square_zero = ([[0, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [1, 1]])
+    for bits in range(256):
+        entries = [(bits >> b) & 1 for b in range(8)]
+        tensor = [[entries[4 * i + 2 * j : 4 * i + 2 * j + 2] for j in range(2)] for i in range(2)]
+        for d in square_zero:
+            yield bits, LieAlgebra2(ctx, tensor, Matrix(ctx, d, 2))
+
+
+def test_proof_reports_match_scan_and_fuzz_on_every_gf2_plane():
+    proved = refuted = 0
+    for bits, L in every_gf2_plane():
+        sctx, _ = ordered_for_straightening(L)
+        ok = prove_pbw(sctx)
+        for bound in (2, 3, 4):
+            got, want = verify_pbw(sctx, bound), _scan_pbw(sctx, bound)
+            assert str(got) == str(want) and got.notes == want.notes
+            assert want.passed or not ok
+        got = confluence_test(sctx, trials=12, max_len=5, seed=bits)
+        want = _fuzz_confluence(sctx, trials=12, max_len=5, seed=bits)
+        assert got == want
+        assert want.passed or not ok
+        if verify_lie(L).passed:
+            # the PBW theorem: every twisted Lie algebra passes
+            assert ok
+        proved += ok
+        refuted += not ok
+    assert proved + refuted == 1024
+    assert proved > 20 and refuted > 900
