@@ -38,6 +38,15 @@ multiplying basis vectors.  They are the same vectors the products would
 give on the same tuples, so basis tuples still decide every law, and each
 report names the same witnesses in the same order.  The cost follows the
 number of nonzero constants, with no vectors built for basis elements.
+
+:func:`change_basis`, :func:`subalgebra`, :func:`quotient`, :func:`homology`
+and :func:`dalg.pbw.ordered_for_straightening` build an algebra on a new
+basis b_j = sum_k B_jk e_k by one contraction,
+:meth:`StructureConstants.transport`: with U[j][m] the terms of e_m b_j,
+b_i b_j = sum_m B_im U[j][m] and d(b_j) = sum_k B_jk d(e_k).  A coordinate
+map from the caller reads each vector into the new basis, every product
+before any d column, so :func:`subalgebra` reports a product leaving its
+span before a d image.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
+    Inconsistent,
     NotApplicable,
     NotDIdeal,
     ShapeMismatch,
@@ -59,7 +69,6 @@ from .linalg import (
     Vec,
     extend_basis,
     nullspace_rows,
-    rref_rows,
     span_closure,
 )
 
@@ -168,10 +177,10 @@ class StructureConstants:
         """Column j of d as a term list."""
         return [_nonzero(self.dmat.col(j)) for j in range(self.n)]
 
-    def _times_d(self, dterms) -> list:
-        """U[i][a] = terms of e_a d(e_i); then d(e_j) d(e_i) = sum_a D_aj U[i][a]."""
-        n, ctx, terms = self.n, self.ctx, self.terms
-        return [[_nonzero(_contract(ctx, [0] * n, dterms[i], terms[a])) for a in range(n)] for i in range(n)]
+    def _times(self, vterms) -> list:
+        """U[i][a] = terms of e_a v_i, so u v_i = sum_a u_a U[i][a]; v_i given as terms."""
+        n, ctx = self.n, self.ctx
+        return [[_nonzero(_contract(ctx, [0] * n, vi, row)) for row in self.terms] for vi in vterms]
 
     def _d_times(self, dterms, cols) -> list:
         """W[i][k] = terms of d(e_i) e_k."""
@@ -184,6 +193,16 @@ class StructureConstants:
         lhs = _contract(ctx, [0] * n, terms[i][j], dterms)
         rhs = _contract(ctx, [0] * n, dterms[i], cols[j])
         return lhs, _contract(ctx, rhs, dterms[j], terms[i])
+
+    def transport(self, basis: Sequence[Sequence[Fe]], coords) -> tuple[list, list]:
+        """(tensor, dcols) with tensor[i][j] = coords(b_i b_j), then dcols[j] =
+        coords(d(b_j)), for b the rows of ``basis``; see the module docstring."""
+        n, ctx = self.n, self.ctx
+        bterms = [_nonzero(b) for b in basis]
+        U = self._times(bterms)
+        tensor = [[coords(_contract(ctx, [0] * n, bi, Uj)) for Uj in U] for bi in bterms]
+        dterms = self._d_terms()
+        return tensor, [coords(_contract(ctx, [0] * n, bj, dterms)) for bj in bterms]
 
     def d(self, a: Sequence[Fe]) -> Vec:
         return self.dmat.mul_vec(a)
@@ -352,7 +371,7 @@ class DAlgebra(AssocAlgebra2):
         rep = AxiomReport(self.kind)
         dterms = self._verify_assoc(rep)
         n, ctx, T = self.n, self.ctx, self.tensor
-        U = self._times_d(dterms)
+        U = self._times(dterms)
         for i in range(n):
             for j in range(n):
                 # e_i e_j = e_j e_i + d(e_j) d(e_i)
@@ -401,7 +420,7 @@ def verify_morphism(m: Morphism, require_iso: bool = False) -> AxiomReport:
     ctx, n = tgt.ctx, tgt.n
     fterms = [_nonzero(m.mat.col(j)) for j in range(src.n)]
     # V[j][a] = terms of e_a f(e_j); then f(e_i) f(e_j) = sum_a F_ai V[j][a]
-    V = [[_nonzero(_contract(ctx, [0] * n, fj, row)) for row in tgt.terms] for fj in fterms]
+    V = tgt._times(fterms)
     for i in range(src.n):
         for j in range(src.n):
             lhs = _contract(ctx, [0] * n, src.terms[i][j], fterms)
@@ -511,8 +530,9 @@ def homology(a: DAlgebra) -> tuple[DAlgebra, Matrix]:
     def project(v: Sequence[Fe]) -> Vec:
         return solver.coords(v)[off : off + h]
 
-    tensor = [[project(a.mul(reps[i], reps[j])) for j in range(h)] for i in range(h)]
-    halg = DAlgebra(a.ctx, tensor, Matrix.zeros(a.ctx, h, h), unit_idx=0)
+    # the representatives lie in Ker(d), so the d columns come out zero
+    tensor, dcols = a.transport(reps, project)
+    halg = DAlgebra(a.ctx, tensor, Matrix.from_cols(a.ctx, dcols), unit_idx=0)
     halg.coset_reps = reps
     proj_cols = [project(a.basis_vec(j)) for j in range(a.n)]
     return halg, Matrix.from_cols(a.ctx, proj_cols, h)
@@ -527,12 +547,7 @@ def change_basis(a: AssocAlgebra2, new_basis: Sequence[Sequence[Fe]], unit: Sequ
     if len(new_basis) != a.n:
         raise DimensionMismatch("change of basis needs exactly n vectors")
     solver = CoordSolver(a.ctx, new_basis)
-    n = a.n
-    tensor = [
-        [solver.coords(a.mul(new_basis[i], new_basis[j])) for j in range(n)]
-        for i in range(n)
-    ]
-    dcols = [solver.coords(a.d(new_basis[i])) for i in range(n)]
+    tensor, dcols = a.transport(new_basis, solver.coords)
     unit_coords = solver.coords(list(unit) if unit is not None else a.unit_vec())
     unit_idx = _standard_index(unit_coords)
     if unit_idx is None:
@@ -567,22 +582,17 @@ def subalgebra(a: AssocAlgebra2, vectors: Sequence[Sequence[Fe]], unit: Sequence
             raise NotApplicable("proposed unit does not act as identity on the span")
     basis = [unit] + extend_basis(Subspace(a.ctx, a.n, [unit]), span.rows)
     solver = CoordSolver(a.ctx, basis)
-    m = len(basis)
-    tensor = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            prod = a.mul(basis[i], basis[j])
-            if not span.contains(prod):
-                raise NotApplicable("span not closed under multiplication")
-            row.append(solver.coords(prod))
-        tensor.append(row)
-    dcols = []
-    for i in range(m):
-        dv = a.d(basis[i])
-        if not span.contains(dv):
-            raise NotApplicable("span not closed under d")
-        dcols.append(solver.coords(dv))
+    # transport reads every product, then every d column
+    laws = iter(["multiplication"] * len(basis) ** 2 + ["d"] * len(basis))
+
+    def coords(v: Sequence[Fe]) -> Vec:
+        law = next(laws)
+        try:
+            return solver.coords(v)
+        except Inconsistent:
+            raise NotApplicable(f"span not closed under {law}") from None
+
+    tensor, dcols = a.transport(basis, coords)
     cls = type(a) if isinstance(a, DAlgebra) else AssocAlgebra2
     sub = cls(a.ctx, tensor, Matrix.from_cols(a.ctx, dcols), 0)
     incl = Morphism(sub, a, Matrix.from_cols(a.ctx, basis))
@@ -620,15 +630,13 @@ def quotient(a: DAlgebra, ideal_space: Subspace):
     reps = extend_basis(
         ideal_space, [unit] + [a.basis_vec(i) for i in range(a.n)]
     )
-    m = len(reps)
     solver = CoordSolver(a.ctx, ideal_space.rows + reps)
     off = ideal_space.dim
 
     def project(v: Sequence[Fe]) -> Vec:
         return solver.coords(v)[off:]
 
-    tensor = [[project(a.mul(reps[i], reps[j])) for j in range(m)] for i in range(m)]
-    dcols = [project(a.d(reps[i])) for i in range(m)]
+    tensor, dcols = a.transport(reps, project)
     q = type(a)(a.ctx, tensor, Matrix.from_cols(a.ctx, dcols), 0)
     proj = Morphism(a, q, Matrix.from_cols(a.ctx, [project(a.basis_vec(j)) for j in range(a.n)]))
     return q, proj

@@ -19,7 +19,7 @@ and quotiented before the command runs.  ``pbw-verify`` and
 ``confluence`` expect a ``lie2`` file.
 
 Flags: ``--field k`` (DSL field, default 1), ``--bound N`` (degree or
-word-length bound where the command uses one), ``--trials T``,
+word-length bound where the command uses one), ``--trials T`` (N, T >= 0),
 ``--seed S``, ``--format human|kv``.  Both formats are line-oriented
 ``key: value`` reports; ``human`` adds indented failure detail.
 
@@ -276,6 +276,9 @@ def main(argv=None) -> int:
     out = Output(args.format)
     out.kv("command", args.command)
     try:
+        for flag, value in (("--bound", args.bound), ("--trials", args.trials)):
+            if value is not None and value < 0:
+                raise NotApplicable(f"{flag} must be at least 0, got {value}")
         text = _read_text(args.path)
         obj = _load_object(text, args)
         code = args.fn(obj, out, args)

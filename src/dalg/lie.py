@@ -71,7 +71,7 @@ def verify_lie(L: LieAlgebra2) -> AxiomReport:
         rep.record("d_squared", (), tuple(map(tuple, dd.rows)), ((),))
     cols = L._columns()
     dterms = L._d_terms()
-    U = L._times_d(dterms)
+    U = L._times(dterms)
     for i in range(n):
         for j in range(n):
             lhs, rhs = L._leibniz_sides(dterms, cols, i, j)
@@ -124,7 +124,7 @@ def jacobi_seven_term_check(L: LieAlgebra2) -> AxiomReport:
     n, ctx, T = L.n, L.ctx, L.terms
     cols = L._columns()
     dterms = L._d_terms()
-    U = L._times_d(dterms)
+    U = L._times(dterms)
     W = L._d_times(dterms, cols)
     # DD[k][i] = terms of [d e_k, d e_i]
     DD = [[_nonzero(_contract(ctx, [0] * n, dk, Ui)) for Ui in U] for dk in dterms]
@@ -151,18 +151,11 @@ def commutator_lie(a: AssocAlgebra2) -> LieAlgebra2:
     bracket laws; a failure means the input was not associative and is
     reported as :class:`TheoremViolation`.
     """
-    n = a.n
-    tensor = []
-    for i in range(n):
-        ei = a.basis_vec(i)
-        di = a.dmat.col(i)
-        row = []
-        for j in range(n):
-            ej = a.basis_vec(j)
-            dj = a.dmat.col(j)
-            row.append(vec_xor(vec_xor(a.mul(ei, ej), a.mul(ej, ei)), a.mul(dj, di)))
-        tensor.append(row)
-    out = LieAlgebra2(a.ctx, tensor, a.dmat)
+    n, ctx, T = a.n, a.ctx, a.tensor
+    dterms = a._d_terms()
+    U = a._times(dterms)  # d(e_j) d(e_i) = sum_m D_mj U[i][m]
+    tensor = [[_contract(ctx, vec_xor(T[i][j], T[j][i]), dterms[j], U[i]) for j in range(n)] for i in range(n)]
+    out = LieAlgebra2(ctx, tensor, a.dmat)
     rep = verify_lie(out)
     if not rep.passed:
         raise TheoremViolation(

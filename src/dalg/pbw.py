@@ -47,7 +47,7 @@ from .algebra import AxiomReport, _nonzero
 from .errors import DegreeOverflow, IndexOutOfRange, NotApplicable
 from .gf2k import Fe
 from .lie import LieAlgebra2
-from .linalg import Matrix, Subspace, extend_basis, solve_lex_least
+from .linalg import CoordSolver, Matrix, Subspace, extend_basis, solve_lex_least
 
 __all__ = [
     "Word",
@@ -351,12 +351,7 @@ def ordered_for_straightening(L: LieAlgebra2) -> tuple[StraightenCtx, bool]:
         return StraightenCtx(L), False
     basis = [list(r) for r in im.rows]
     basis += extend_basis(im, [L.basis_vec(i) for i in range(L.n)])
-    pinv = Matrix.from_cols(ctx, basis, nrows=L.n).inverse()
-    tensor = [
-        [pinv.mul_vec(L.bracket(basis[i], basis[j])) for j in range(L.n)]
-        for i in range(L.n)
-    ]
-    dcols = [pinv.mul_vec(L.d(basis[j])) for j in range(L.n)]
+    tensor, dcols = L.transport(basis, CoordSolver(ctx, basis).coords)
     moved = LieAlgebra2(ctx, tensor, Matrix.from_cols(ctx, dcols, nrows=L.n))
     return StraightenCtx(moved), True
 

@@ -207,6 +207,28 @@ def test_subalgebra_kernel():
         subalgebra(alg, [[0, 1, 0]])  # misses the unit
 
 
+def test_subalgebra_refusals_name_the_failing_law():
+    ctx = field(8)
+    t3 = truncated_poly_algebra(ctx, 3)
+    with pytest.raises(NotApplicable, match="^span not closed under multiplication$"):
+        subalgebra(t3, [[1, 0, 0], [0, 1, 0]])  # t t = t^2 leaves span{1, t}
+    with pytest.raises(NotApplicable, match="^span not closed under d$"):
+        subalgebra(tiny_d_algebra(ctx), [[1, 0, 0], [0, 0, 1]])  # d(x) = w leaves span{1, x}
+    with pytest.raises(NotApplicable, match="^proposed unit does not act as identity on the span$"):
+        subalgebra(t3, [t3.basis_vec(i) for i in range(3)], unit=[1, 1, 0])  # (1 + t) 1 != 1
+
+
+def test_subalgebra_reports_multiplication_before_d():
+    ctx = field(8)
+    prod, _, _ = direct_product(tiny_d_algebra(ctx), truncated_poly_algebra(ctx, 3))
+    # basis 1, w, x, 1', t, t^2; v = x + t has v v = t^2 and d(v) = w
+    v = [0, 0, 1, 0, 1, 0]
+    span = Subspace(ctx, prod.n, [prod.unit_vec(), v])
+    assert not span.contains(prod.mul(v, v)) and not span.contains(prod.d(v))
+    with pytest.raises(NotApplicable, match="^span not closed under multiplication$"):
+        subalgebra(prod, span.rows)
+
+
 def test_change_basis_roundtrip():
     rng = random.Random(23)
     ctx = field(8)

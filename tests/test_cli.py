@@ -354,6 +354,31 @@ def test_pbw_verify_refuses_a_large_scan_with_exit_2(capsys, monkeypatch):
     assert got["message"].startswith(f"4287973200 sandwiched relations at bound 400, more than the {MAX_SANDWICHED} ")
 
 
+def _cli_source(command):
+    return lineal_lie_text() if command in ("pbw-verify", "confluence") else D_SOURCE
+
+
+@pytest.mark.parametrize("flag, value", [("--bound", "-1"), ("--trials", "-3")])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_negative_bound_or_trials_exits_2(command, flag, value, capsys, monkeypatch):
+    code, text = run(capsys, [command, "-", flag, value], _cli_source(command), monkeypatch)
+    assert code == 2
+    got = kv(text)
+    assert got["error"] == "input"
+    assert got["message"] == f"{flag} must be at least 0, got {value}"
+    assert got["exit"] == "2"
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("confluence", "--bound"), ("confluence", "--trials"), ("pbw-verify", "--bound"), ("present", "--bound")],
+)
+def test_zero_bound_and_trials_are_accepted(command, flag, capsys, monkeypatch):
+    code, text = run(capsys, [command, "-", flag, "0"], _cli_source(command), monkeypatch)
+    assert code == 0
+    assert "error" not in kv(text)
+
+
 def test_confluence_deterministic_output(capsys, monkeypatch):
     argv = ["confluence", "-", "--trials", "60", "--seed", "11"]
     code1, text1 = run(capsys, argv, jordan_lie_text(), monkeypatch)
