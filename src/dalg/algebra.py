@@ -24,10 +24,19 @@ checked, so reports list every failing tuple.  The middle nucleus
 N = {g : (x g) z = x (g z) for all x, z} is a subspace closed under
 products (for g, h in N, (x (g h)) z = ((x g) h) z = x ((g h) z)), it
 holds 1 by the unit laws, and it is closed under d because d is a
-derivation (apply d to (x g) z = x (g z)).  J is chosen so that 1 and
-the e_j, j in J, closed under d and under left multiplication by those
-e_j, span A; once every e_j with j in J lies in N, so does A.  Nothing is
+derivation (apply d to (x g) z = x (g z)).  J is
+:meth:`AssocAlgebra2.generators`: the e_j with d(e_j) != 0 are tried
+first, then the rest, each in basis order, and e_j joins J when it lies
+outside the span of 1 and the chosen e_g closed under d and under left
+multiplication by those e_g (:meth:`AssocAlgebra2.closure`).  That span
+ends as A; once every e_j with j in J lies in N, so does A.  Nothing is
 sampled.
+
+In an algebra that satisfies the axioms the same span is the
+d-subalgebra J generates: it holds every word in the e_g and d(e_g),
+because d(g) w = d(g w) + g d(w).  So :func:`dalg.polyd.present` and the
+CLI's generator choice use it too, and :func:`dalg.ideals.close` closes
+under left multiplication by every e_i.
 
 On a basis tuple each side of a law is a contraction of the structure
 constants T (and of the columns D of d): associativity at (i, j, k) reads
@@ -69,7 +78,6 @@ from .linalg import (
     Vec,
     extend_basis,
     nullspace_rows,
-    span_closure,
 )
 
 Tensor = list  # tensor[i][j] is the coordinate vector of e_i * e_j
@@ -256,7 +264,7 @@ class AssocAlgebra2(StructureConstants):
         """Unit, associativity and derivation laws; returns d's term lists.
 
         The cheap laws run first; when they all hold, associativity is
-        scanned with the middle index in :meth:`_middle_generators` only.
+        scanned with the middle index in :meth:`generators` only.
         """
         n = self.n
         T = self.tensor
@@ -284,39 +292,12 @@ class AssocAlgebra2(StructureConstants):
         if any(du):
             derivation.record("unit_differential", (u,), du, tuple([0] * n))
         everywhere = range(n)
-        middle = everywhere if rep.failures or derivation.failures else self._middle_generators(dterms)
+        middle = everywhere if rep.failures or derivation.failures else self.generators()
         found = self._assoc_failures(cols, middle)
         if found and len(middle) < n:
             found = self._assoc_failures(cols, everywhere)
         rep.failures += found + derivation.failures
         return dterms
-
-    def _middle_generators(self, dterms) -> list:
-        """Indices J such that checking (x e_j) z = x (e_j z) for j in J proves
-        associativity, given the unit laws and Leibniz.
-
-        e_j joins J, in basis order, when it lies outside W: the span of 1
-        and the chosen e_g, closed under d and under left multiplication by
-        each chosen e_g.  W ends as all of A; the module docstring says why
-        it lies in the middle nucleus once the scan over J passes.
-        """
-        n, ctx, terms = self.n, self.ctx, self.terms
-        middle: list = []
-
-        def grow(rows):
-            nz = [_nonzero(r) for r in rows]
-            out = [_contract(ctx, [0] * n, r, dterms) for r in nz]
-            return out + [_contract(ctx, [0] * n, r, terms[g]) for g in middle for r in nz]
-
-        span = Subspace(ctx, n, [self.unit_vec()])
-        for j in range(n):
-            if span.dim == n:
-                break
-            e = self.basis_vec(j)
-            if not span.contains(e):
-                middle.append(j)
-                span = span_closure(ctx, n, span.rows + [e], grow)
-        return middle
 
     def _assoc_failures(self, cols, middle) -> list:
         """(e_i e_j) e_k = e_i (e_j e_k) for every i, k and j in middle."""
@@ -334,6 +315,48 @@ class AssocAlgebra2(StructureConstants):
                     if left != right:
                         out.record("associativity", (i, j, k), left, right)
         return out.failures
+
+    # -- generated spans ----------------------------------------------------
+
+    def closure(self, vectors: Sequence[Sequence[Fe]], left: Sequence[Sequence[Fe]]) -> Subspace:
+        """Smallest span holding ``vectors`` that d and u -> g u, for each g
+        in ``left``, map into itself.
+
+        Both maps read term lists: d(u) = sum_a u_a d(e_a) and g u =
+        sum_a u_a (g e_a).  Each round applies them to the part of the span
+        the last round added only.
+        """
+        n, ctx = self.n, self.ctx
+        cols = self._columns()
+        maps = [self._d_terms()] + [
+            [_nonzero(_contract(ctx, [0] * n, _nonzero(g), col)) for col in cols] for g in left
+        ]
+        span = Subspace(ctx, n, vectors)
+        new = span.rows
+        while new:
+            images = [_contract(ctx, [0] * n, u, m) for u in map(_nonzero, new) for m in maps]
+            new = Subspace(ctx, n, [span.reduce(w) for w in images]).rows
+            span = Subspace(ctx, n, span.rows + new)
+        return span
+
+    def generators(self) -> list:
+        """Indices J of basis vectors that generate A with 1, under d and left
+        multiplication by the e_j, j in J; see the module docstring.
+
+        Basis vectors with d(e_j) != 0 are tried first so their d images
+        come along; e_j joins J when the span so far misses it.
+        """
+        n = self.n
+        gens: list = []
+        span = self.closure([self.unit_vec()], [])
+        for j in sorted(range(n), key=lambda j: not any(self.dmat.col(j))):
+            if span.dim == n:
+                break
+            e = self.basis_vec(j)
+            if not span.contains(e):
+                gens.append(j)
+                span = self.closure(span.rows + [e], [self.basis_vec(g) for g in gens])
+        return gens
 
     # -- derived subspaces --------------------------------------------------
 

@@ -51,7 +51,6 @@ from .formats import loads
 from .gf2k import field
 from .lie import LieAlgebra2, jacobi_seven_term_check, verify_lie
 from .pbw import confluence_test, ordered_for_straightening, standard_count, verify_pbw
-from .linalg import Subspace, span_closure
 from .polyd import present, quotient_to_dalgebra
 from .structure import decompose, is_local
 
@@ -177,31 +176,11 @@ def cmd_classify7(obj, out: Output, args) -> int:
     return EXIT_PASS
 
 
-def _generated_span(a, gens) -> Subspace:
-    return span_closure(
-        a.ctx, a.n, [a.unit_vec()] + gens,
-        lambda rows: [a.mul(u, v) for u in rows for v in rows] + [a.d(u) for u in rows],
-    )
-
-
-def _greedy_generators(a) -> list:
-    """Small generating set; d-nonzero vectors first so their images tag along."""
-    gens = []
-    span = _generated_span(a, gens)
-    order = sorted(range(a.n), key=lambda i: not any(a.dmat.col(i)))
-    for i in order:
-        v = a.basis_vec(i)
-        if not span.contains(v):
-            gens.append(v)
-            span = _generated_span(a, gens)
-    return gens
-
-
 def cmd_present(obj, out: Output, args) -> int:
     if not isinstance(obj, DAlgebra):
         raise NotApplicable("present expects a d-algebra")
     bound = args.bound if args.bound is not None else 4
-    pres = present(obj, _greedy_generators(obj), bound)
+    pres = present(obj, [obj.basis_vec(j) for j in obj.generators()], bound)
     out.kv("rank r", pres.pa.r)
     out.kv("rank s", pres.pa.s)
     out.kv("relations", len(pres.relations))

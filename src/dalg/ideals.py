@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from .algebra import AssocAlgebra2
 from .errors import AmbientMismatch, NotApplicable, TheoremViolation
 from .gf2k import Fe
-from .linalg import Subspace, span_closure
+from .linalg import Subspace
 
 __all__ = [
     "DIdeal",
@@ -78,15 +78,7 @@ def close(a: AssocAlgebra2, gens: Sequence[Sequence[Fe]]) -> DIdeal:
     right check cannot fail for a genuine d-algebra, so a failure raises
     :class:`TheoremViolation` rather than growing further.
     """
-
-    def grow(rows):
-        new = []
-        for r in rows:
-            new.append(a.d(r))
-            new += [a.mul(a.basis_vec(i), r) for i in range(a.n)]
-        return new
-
-    span = span_closure(a.ctx, a.n, gens, grow)
+    span = a.closure(gens, [a.basis_vec(i) for i in range(a.n)])
     for r in span.rows:
         for i in range(a.n):
             if not span.contains(a.mul(r, a.basis_vec(i))):

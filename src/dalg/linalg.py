@@ -11,7 +11,7 @@ fresh objects.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import Inconsistent, ShapeMismatch
 from .gf2k import Fe, FieldCtx
@@ -328,25 +328,6 @@ def extend_basis(sub: Subspace, candidates: Iterable[Sequence[Fe]]) -> list[Vec]
             added.append(list(v))
             span = Subspace(span.ctx, span.ambient, span.rows + [list(v)])
     return added
-
-
-def span_closure(
-    ctx: FieldCtx,
-    ambient: int,
-    vectors: Iterable[Sequence[Fe]],
-    grow: Callable[[list[Vec]], list[Vec]],
-) -> Subspace:
-    """Smallest span of ``vectors`` that ``grow`` does not enlarge.
-
-    ``grow(rows)`` maps the basis rows of the current span to a list of
-    vectors to add; the loop stops once they add nothing.
-    """
-    span = Subspace(ctx, ambient, vectors)
-    while True:
-        grown = Subspace(ctx, ambient, span.rows + grow(span.rows))
-        if grown.dim == span.dim:
-            return span
-        span = grown
 
 
 class CoordSolver:

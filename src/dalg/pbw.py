@@ -580,10 +580,12 @@ def confluence_test(
     context with other valid preimages: its rules lie in the same ideal
     (v v + [w',w'] = R(w',w')) and leave the same words irreducible.  The
     report then counts ``trials`` words without straightening any;
-    otherwise the seeded fuzz runs.
+    otherwise the seeded fuzz runs.  A negative ``max_len`` raises
+    :class:`NotApplicable`.
     """
-    # a negative max_len is left to the fuzz, whose first draw refuses it
-    if (max_len >= 0 or trials <= 0) and prove_pbw(sctx):
+    if max_len < 0:
+        raise NotApplicable(f"max_len must be at least 0, got {max_len}")
+    if prove_pbw(sctx):
         rep = ConfluenceReport(seed, trials, max_len, words_checked=max(trials, 0))
         if not sctx.kk:
             rep.notes.append("d = 0: no preimages to vary")

@@ -28,7 +28,7 @@ from .errors import (
 from .gf2k import Fe, FieldCtx
 # rref_rows is not called here; perfbench/test_perfbench.py checks that its
 # tracer rebinds this module's name for it, so the name stays bound
-from .linalg import Matrix, Subspace, nullspace_rows, rref_rows, span_closure  # noqa: F401
+from .linalg import Matrix, Subspace, nullspace_rows, rref_rows  # noqa: F401
 
 __all__ = [
     "PMono",
@@ -375,9 +375,11 @@ def quotient_to_dalgebra(pres: Presentation) -> DAlgebra:
     The relation span collects u * rel * v over all monomial pairs that fit
     inside the bound; coset representatives are the monomials missing from
     the span's pivot set.  Products of representatives must stay inside the
-    bound and reduce into the representative span, else the bound is too
-    small and :class:`NotClosedAtBound` is raised.  Relations whose d does
-    not reduce to zero raise :class:`RelationsNotDClosed`.
+    bound and reduce into the representative span, and the result must
+    pass :meth:`DAlgebra.verify` (a relation multiple cut off by the bound
+    can leave it non-associative), else the bound is too small and
+    :class:`NotClosedAtBound` is raised.  Relations whose d does not reduce
+    to zero raise :class:`RelationsNotDClosed`.
 
     The result carries ``basis_labels`` (one monomial per basis vector) and
     ``presentation``.
@@ -439,6 +441,13 @@ def quotient_to_dalgebra(pres: Presentation) -> DAlgebra:
         tensor.append(row)
     dcols = [coset_coords(PElem(pa, {m: 1}).d(), "d image") for m in basis]
     alg = DAlgebra(ctx, tensor, Matrix.from_cols(ctx, dcols), 0)
+    failures = alg.verify().failures
+    if failures:
+        f = failures[0]
+        raise NotClosedAtBound(
+            f"the quotient at bound {bound} fails {f.axiom} at"
+            f" ({','.join(map(str, f.witness))}); raise the bound"
+        )
     alg.basis_labels = basis
     alg.presentation = pres
     return alg
@@ -459,10 +468,7 @@ def present(a: DAlgebra, gens: Sequence[Sequence[Fe]], bound: int) -> Presentati
     ys = [list(g) for g in gens if not any(a.d(g))]
     pa = PAlgebra(ctx, len(xs), len(ys))
 
-    mults = [list(g) for g in gens] + [a.d(g) for g in xs]
-    span = span_closure(
-        ctx, a.n, [a.unit_vec()] + mults, lambda rows: [a.mul(r, m) for r in rows for m in mults]
-    )
+    span = a.closure([a.unit_vec(), *gens], gens)
     if span.dim < a.n:
         raise NotGenerating(f"generators span a proper subalgebra of dimension {span.dim}")
 

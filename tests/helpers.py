@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dalg import DAlgebra, Matrix, field
+from dalg import DAlgebra, Matrix, Subspace, field
 from dalg.gf2k import FieldCtx
 
 
@@ -161,3 +161,41 @@ def dense_assoc_corrupt_gf16() -> DAlgebra:
     ctx = field(16)
     p, _, _ = direct_product(truncated_poly_algebra(ctx, 3), truncated_poly_algebra(ctx, 2))
     return square_corrupted(dense_rebase(p, random.Random(0xA550C)), 1, 0, 1)
+
+
+def all_products_generators(a: DAlgebra) -> list:
+    """Indices picked greedily, d-nonzero basis vectors first, until 1 and
+    the picks generate a: each candidate is tested against the span of 1
+    and the picks closed under every product of two span rows and under d,
+    rebuilt from scratch after each pick."""
+
+    def generated(gens):
+        span = Subspace(a.ctx, a.n, [a.unit_vec()] + [a.basis_vec(g) for g in gens])
+        while True:
+            rows = span.rows
+            grown = Subspace(
+                a.ctx, a.n, rows + [a.mul(u, v) for u in rows for v in rows] + [a.d(u) for u in rows]
+            )
+            if grown.dim == span.dim:
+                return span
+            span = grown
+
+    gens: list = []
+    span = generated(gens)
+    for i in sorted(range(a.n), key=lambda i: not any(a.dmat.col(i))):
+        if not span.contains(a.basis_vec(i)):
+            gens.append(i)
+            span = generated(gens)
+    return gens
+
+
+def right_product_span(a: DAlgebra, gens) -> Subspace:
+    """Span of 1, the generators and the d images of those with nonzero d,
+    closed under right multiplication by the same vectors."""
+    mults = [list(g) for g in gens] + [a.d(g) for g in gens if any(a.d(g))]
+    span = Subspace(a.ctx, a.n, [a.unit_vec()] + mults)
+    while True:
+        grown = Subspace(a.ctx, a.n, span.rows + [a.mul(r, m) for r in span.rows for m in mults])
+        if grown.dim == span.dim:
+            return span
+        span = grown

@@ -103,6 +103,18 @@ def test_malformed_dsl_exits_2(capsys, monkeypatch):
         assert got["error"] == "input" and hint in got["message"]
 
 
+@pytest.mark.parametrize("command", ["invariants", "decompose", "check", "present"])
+def test_quotient_failing_its_axioms_exits_2_until_the_bound_is_raised(command, capsys, monkeypatch):
+    source = "P(1,0) / [x1^2, xi1 x1 + xi1] @ deg {}"
+    code, text = run(capsys, [command, "-"], source.format(2), monkeypatch)
+    assert code == 2
+    got = kv(text)
+    assert got["error"] == "input" and got["exit"] == "2"
+    assert got["message"] == "the quotient at bound 2 fails associativity at (1,2,2); raise the bound"
+    code, text = run(capsys, [command, "-"], source.format(3), monkeypatch)
+    assert code == 0 and kv(text)["exit"] == "0"
+
+
 @pytest.mark.parametrize(
     "command, source, message",
     [
@@ -288,6 +300,7 @@ def gl3_e01_text():
         ("decompose_gf4_t2_nonsplit", ["decompose", "-"], gf4_times_t2_text),
         ("invariants_d_t3_dense_gf16", ["invariants", "-"], d_t3_dense_gf16_text),
         ("check_dense_assoc_corrupt_gf16", ["check", "-"], lambda: dumps(dense_assoc_corrupt_gf16())),
+        ("present_d_t3_dense_gf16", ["present", "-", "--bound", "4"], d_t3_dense_gf16_text),
     ],
 )
 def test_report_matches_golden(golden, argv, source, capsys, monkeypatch):

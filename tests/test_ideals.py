@@ -17,7 +17,7 @@ from dalg import (
     nilpotency_index,
 )
 
-from helpers import tiny_d_algebra, truncated_poly_algebra
+from helpers import dense_rebase, tiny_d_algebra, truncated_poly_algebra
 
 
 def test_close_adds_d_image():
@@ -39,9 +39,14 @@ def test_close_of_truncated_poly():
 def test_close_fixpoint_matches_brute_force():
     # closure = span of all words e_w * g reachable by repeated left mult
     rng = random.Random(11)
-    a = truncated_poly_algebra(field(4), 5)
-    for _ in range(20):
-        g = a.rand_vec(rng)
+    t5 = truncated_poly_algebra(field(4), 5)
+    cases = [(t5, t5.rand_vec(rng)) for _ in range(20)]
+    # a dense GF(2^16) product with a nonzero d; d(g) generates a proper ideal
+    k16 = field(16)
+    p, _, _ = direct_product(tiny_d_algebra(k16), truncated_poly_algebra(k16, 3))
+    dense = dense_rebase(p, random.Random(16))
+    cases += [(dense, v) for g in [dense.rand_vec(rng) for _ in range(3)] for v in (g, dense.d(g))]
+    for a, g in cases:
         i = close(a, [g])
         brute = Subspace(a.ctx, a.n, [g])
         for _ in range(a.n):

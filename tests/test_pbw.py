@@ -432,6 +432,14 @@ def test_confluence_from_the_proof_on_long_words():
     assert max(len(w) for memo in s._memos.values() for w in memo) <= 3
 
 
+@pytest.mark.parametrize("trials", [0, 5])
+@pytest.mark.parametrize("build", [jordan_lie, lineal_lie])
+def test_confluence_refuses_negative_max_len(build, trials):
+    s = StraightenCtx(build(field(1)))
+    with pytest.raises(NotApplicable, match="max_len must be at least 0, got -1"):
+        confluence_test(s, trials=trials, max_len=-1, seed=0)
+
+
 def test_confluence_on_d_free_lie():
     ctx = field(2)
     s = StraightenCtx(abelian_lie(ctx, 3))

@@ -266,6 +266,19 @@ def test_quotient_not_closed_at_small_bound():
         quotient_to_dalgebra(Presentation(pa, [x * x], 2))
 
 
+@pytest.mark.parametrize("k", [1, 8])
+def test_quotient_that_fails_the_axioms_asks_for_a_larger_bound(k):
+    # at bound 2, xi1 x1 + xi1 times x1 would be cut off, and e_x e_x e_xi
+    # comes out non-associative; at bound 3 it reduces x1 xi1 to zero
+    pa = PAlgebra(field(k), 1, 0)
+    rels = [pa.x(1) * pa.x(1), pa.xi(1) * pa.x(1) + pa.xi(1)]
+    msg = r"^the quotient at bound 2 fails associativity at \(1,2,2\); raise the bound$"
+    with pytest.raises(NotClosedAtBound, match=msg):
+        quotient_to_dalgebra(Presentation(pa, rels, 2))
+    q = quotient_to_dalgebra(Presentation(pa, rels, 3))
+    assert q.n == 2 and q.verify().passed
+
+
 def test_quotient_requires_d_closed_relations():
     ctx = field(4)
     pa = PAlgebra(ctx, 1, 0)
