@@ -329,9 +329,10 @@ def _tuples_bounded(length: int, total: int) -> Iterable[tuple[int, ...]]:
 
 
 # enumerate_monomials refuses a free algebra with more normal monomials than
-# this.  They index the columns of a quotient's relation span, whose
-# elimination grows with the cube of their number; the largest count a
-# shipped input or benchmark workload reaches is 501.
+# this.  They index the columns of a quotient's relation span, which has up
+# to 1 + r rows per relation and monomial, so its elimination grows with the
+# cube of their number; the largest count a shipped input or benchmark
+# workload reaches is 501.
 MAX_MONOMIALS = 4096
 
 
@@ -372,12 +373,16 @@ def enumerate_monomials(pa: PAlgebra, bound: int) -> list[PMono]:
 def quotient_to_dalgebra(pres: Presentation) -> DAlgebra:
     """The quotient by the ideal of the relations, truncated at the bound.
 
-    The relation span collects u * rel * v over all monomial pairs that fit
-    inside the bound; coset representatives are the monomials missing from
-    the span's pivot set.  Products of representatives must stay inside the
-    bound and reduce into the representative span, and the result must
-    pass :meth:`DAlgebra.verify` (a relation multiple cut off by the bound
-    can leave it non-associative), else the bound is too small and
+    The relation span is that of every u * rel * v inside the bound, built
+    one-sided: rel * v = v * rel + d(v) d(rel), and each term of d(v) is a
+    monomial times a central xi_i, so it is the span of m * rel and of
+    m * xi_i * d(rel) for the monomials m that fit; conversely
+    xi_i d(rel) = x_i rel + rel x_i.  Coset representatives are the
+    monomials missing from the span's pivot set.  Products of
+    representatives must stay inside the bound and reduce into the
+    representative span, and the result must pass :meth:`DAlgebra.verify`
+    (a relation multiple cut off by the bound can leave it
+    non-associative), else the bound is too small and
     :class:`NotClosedAtBound` is raised.  Relations whose d does not reduce
     to zero raise :class:`RelationsNotDClosed`.
 
@@ -412,10 +417,13 @@ def quotient_to_dalgebra(pres: Presentation) -> DAlgebra:
         if rel.is_zero():
             continue  # degree -1 would index past upto, and spans nothing
         room = bound - rel.degree()
-        for u, udeg in zip(monos[: upto[room]], degs):
-            left = PElem(pa, {u: 1}) * rel
-            for v in monos[: upto[room - udeg]]:
-                rows.add(tuple(coords(left * PElem(pa, {v: 1}), "relation multiple")))
+        drel = rel.d()
+        lefts = [(rel, room)]
+        if drel and room:
+            lefts += [(pa.xi(i) * drel, room - 1) for i in range(1, pa.r + 1)]
+        for el, r in lefts:
+            for m in monos[: upto[r]]:
+                rows.add(tuple(coords(PElem(pa, {m: 1}) * el, "relation multiple")))
     span = Subspace(ctx, nm, rows)
 
     for rel in pres.relations:
@@ -473,27 +481,19 @@ def present(a: DAlgebra, gens: Sequence[Sequence[Fe]], bound: int) -> Presentati
         raise NotGenerating(f"generators span a proper subalgebra of dimension {span.dim}")
 
     monos = enumerate_monomials(pa, bound)
-    xis = [a.d(g) for g in xs]
 
-    def evaluate(m: PMono) -> list[Fe]:
-        y, xi, x = m
-        v = a.unit_vec()
-        for j, e in enumerate(y):
-            for _ in range(e):
-                v = a.mul(v, ys[j])
-        for i in range(pa.r):
-            if xi >> i & 1:
-                v = a.mul(v, xis[i])
-        for i, e in enumerate(x):
-            for _ in range(e):
-                v = a.mul(v, xs[i])
-        return v
-
-    cols = [evaluate(m) for m in monos]
+    # a monomial's value is the product of its letters in y, xi, x order, left
+    # to right; monos is degree-sorted, so its prefix is already evaluated
+    letters = ys + [a.d(g) for g in xs] + xs
+    vals = {(): a.unit_vec()}
+    cols = []
+    for y, xi, x in monos:
+        w = _letters(y) + tuple(pa.s + i for i in range(pa.r) if xi >> i & 1)
+        w += tuple(pa.s + pa.r + i for i in _letters(x))
+        if w:
+            vals[w] = a.mul(vals[w[:-1]], letters[w[-1]])
+        cols.append(vals[w])
     mat_rows = [[cols[j][i] for j in range(len(monos))] for i in range(a.n)]
     kernel = nullspace_rows(ctx, mat_rows, len(monos))
-    rels = []
-    for coeffs in kernel:
-        terms = {m: c for m, c in zip(monos, coeffs) if c}
-        rels.append(PElem(pa, terms))
+    rels = [PElem(pa, {m: c for m, c in zip(monos, coeffs) if c}) for coeffs in kernel]
     return Presentation(pa, rels, bound)

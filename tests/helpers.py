@@ -199,3 +199,36 @@ def right_product_span(a: DAlgebra, gens) -> Subspace:
         if grown.dim == span.dim:
             return span
         span = grown
+
+
+def two_sided_relation_span(pres) -> Subspace:
+    """Span of u * rel * v over every relation and every pair of monomials
+    u, v that fits inside the bound, built pair by pair.
+
+    Columns are the normal monomials of degree at most the bound in reverse
+    order, as ``quotient_to_dalgebra`` eliminates them; the oracle for its
+    one-sided relation span.
+    """
+    from bisect import bisect_right
+
+    from dalg import PElem, enumerate_monomials, mono_degree
+
+    pa, bound = pres.pa, pres.bound
+    monos = enumerate_monomials(pa, bound)
+    nm = len(monos)
+    degs = [mono_degree(m) for m in monos]
+    upto = [bisect_right(degs, e) for e in range(bound + 1)]
+    rev = {m: nm - 1 - i for i, m in enumerate(monos)}
+    rows = set()
+    for rel in pres.relations:
+        if rel.is_zero():
+            continue
+        room = bound - rel.degree()
+        for u, udeg in zip(monos[: upto[room]], degs):
+            left = PElem(pa, {u: 1}) * rel
+            for v in monos[: upto[room - udeg]]:
+                row = [0] * nm
+                for m, c in (left * PElem(pa, {v: 1})).terms.items():
+                    row[rev[m]] = c
+                rows.add(tuple(row))
+    return Subspace(pa.ctx, nm, rows)

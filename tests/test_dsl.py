@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dalg import (
+    DAlgebra,
+    DalgError,
     DslSyntaxError,
     IndexOutOfRange,
     PAlgebra,
@@ -142,3 +145,38 @@ def test_print_parse_round_trip_fuzz():
         again = parse_presentation(src, ctx)
         assert [r.terms for r in again.relations] == [r.terms for r in pres.relations]
         assert to_source(again) == src
+
+
+@st.composite
+def small_sources(draw):
+    """Source text for P(r,s) with r <= 2, s <= 1 at bound <= 4 over
+    GF(2^k), k in {1, 2, 4}: up to 5 relations of up to 3 terms, each term
+    a coefficient (0 included) times one or two generators, squared or not
+    (a bare coefficient when r = s = 0)."""
+    k = draw(st.sampled_from([1, 2, 4]))
+    r, s, bound = draw(st.integers(0, 2)), draw(st.integers(0, 1)), draw(st.integers(0, 4))
+    gens = [f"{g}{i}" for g in ("x", "xi") for i in range(1, r + 1)] + [f"y{j}" for j in range(1, s + 1)]
+    rels = []
+    for _ in range(draw(st.integers(0, 5))):
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            parts = [format(draw(st.integers(0, (1 << k) - 1)), "#x")]
+            for _ in range(draw(st.integers(1, 2)) if gens else 0):
+                g, e = draw(st.sampled_from(gens)), draw(st.integers(1, 2))
+                parts.append(g if e == 1 else f"{g}^{e}")
+            terms.append(" ".join(parts))
+        rels.append(" + ".join(terms))
+    return f"P({r},{s}) / [{', '.join(rels)}] @ deg {bound}", k
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_sources())
+def test_small_presentations_quotient_or_refuse(case):
+    # a verified d-algebra or a package error; no other way to end
+    src, k = case
+    try:
+        a = quotient_to_dalgebra(parse_presentation(src, field(k)))
+    except DalgError:
+        return
+    assert isinstance(a, DAlgebra)
+    assert a.verify().passed, src

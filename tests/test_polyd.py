@@ -4,6 +4,7 @@ import random
 import pytest
 
 from dalg import (
+    DalgError,
     DegreeOverflow,
     Morphism,
     NotClosedAtBound,
@@ -18,11 +19,14 @@ from dalg import (
     mono_degree,
     mono_label,
     monomial_count,
+    parse_presentation,
+    polyd,
     present,
     quotient_to_dalgebra,
     verify_morphism,
 )
 from dalg.linalg import Matrix
+from helpers import two_sided_relation_span
 
 
 def rand_elem(pa, rng, nterms=3, maxdeg=3):
@@ -354,3 +358,107 @@ def test_present_rejects_nongenerators():
     q = quotient_to_dalgebra(Presentation(pa, rels, 4))
     with pytest.raises(NotGenerating):
         present(q, [q.basis_vec(3)], 4)
+
+
+# -- one-sided relation span against the two-sided oracle ----------------
+# quotient_to_dalgebra spans m rel and m xi_i d(rel); the oracle spans
+# every u rel v.  The spans must agree row for row, and so must what the
+# quotient makes of them: the algebra, or the refusal and its message.
+
+D_RELS = "x1^2 + {h} xi1 xi2, x2^2 + {k} xi1 xi2, x1 x2 + {p} xi1 xi2, xi1 x1, xi2 x2, xi1 x2 + xi2 x1"
+Y_RELS = "y1^2, y1 x1, y1 x2, y1 xi1, y1 xi2"
+RANK3_RELS = (
+    "x1^2, x2^2, x3^2, x1 x2, x1 x3, x2 x3, xi1 x1, xi2 x2, xi3 x3,"
+    " xi1 x2 + xi2 x1, xi1 x3 + xi3 x1, xi2 x3 + xi3 x2"
+)
+
+
+def cli_sources():
+    """The benchmark's presentation sources, the square-zero line, the
+    relation xi1 x1 + xi1 on both sides of its smallest working bound, and
+    two relation sets that are not d-closed."""
+    rng = random.Random(1402)
+    out = []
+    for k in (1, 8):
+        ctx = field(k)
+        for bound in (3, 4, 5):
+            h, kk, p = (hex(ctx.rand(rng)) for _ in range(3))
+            out.append((f"P(2,0) / [{D_RELS.format(h=h, k=kk, p=p)}] @ deg {bound}", k))
+        h, kk, p = (hex(ctx.rand(rng)) for _ in range(3))
+        out.append((f"P(2,1) / [{D_RELS.format(h=h, k=kk, p=p)}, {Y_RELS}] @ deg 4", k))
+    out += [(f"P(3,0) / [{RANK3_RELS}] @ deg {bound}", 1) for bound in (4, 5, 6)]
+    out += [(f"P(1,0) / [x1^2] @ deg {bound}", k) for bound, k in ((2, 4), (4, 8))]
+    out += [(f"P(1,0) / [x1^2, xi1 x1 + xi1] @ deg {bound}", k) for bound in (2, 3) for k in (1, 8)]
+    # not d-closed, with room for the m xi_i d(rel) rows to matter
+    out += [("P(3,0) / [x1^2, x2^2, x3^2, x1 x2, x1 x3, x2 x3] @ deg 5", 1), ("P(2,1) / [x1 x2, y1 x1] @ deg 4", 4)]
+    return out
+
+
+def random_presentation(rng, ctx):
+    """One to four random relations of one to three terms on r <= 2, s <= 1
+    at bounds 2-4, each followed by its d half of the time.  Half the
+    presentations also kill every monomial of degree (bound + 2) // 2, so
+    products of what is left stay inside the bound."""
+    r, s, bound = rng.randint(1, 2), rng.randint(0, 1), rng.randint(2, 4)
+    pa = PAlgebra(ctx, r, s)
+    monos = enumerate_monomials(pa, bound)
+    top = (bound + 2) // 2
+    rels = [PElem(pa, {m: 1}) for m in monos if mono_degree(m) == top] if rng.random() < 0.5 else []
+    for _ in range(rng.randint(1, 4)):
+        rel = pa.zero()
+        for _ in range(rng.randint(1, 3)):
+            rel = rel + PElem(pa, {rng.choice(monos[1:]): ctx.rand_nonzero(rng)})
+        rels.append(rel)
+        if rng.random() < 0.5:
+            rels.append(rel.d())
+    return Presentation(pa, rels, bound)
+
+
+def outcome(pres):
+    try:
+        q = quotient_to_dalgebra(pres)
+    except DalgError as e:
+        return type(e), str(e)
+    return q.tensor, q.dmat.rows, q.basis_labels
+
+
+def run_quotient(pres, oracle_span=None):
+    """The outcome of quotient_to_dalgebra and the relation spans it built;
+    with oracle_span given, that span stands in for the one it builds."""
+    built, real = [], polyd.Subspace
+
+    def spy(ctx, ambient, rows):
+        built.append(real(ctx, ambient, rows))
+        return built[-1] if oracle_span is None else oracle_span
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyd, "Subspace", spy)
+        got = outcome(pres)
+    return got, built
+
+
+def assert_matches_oracle(pres):
+    oracle = two_sided_relation_span(pres)
+    got, (built,) = run_quotient(pres)
+    assert (built.rows, built.pivots) == (oracle.rows, oracle.pivots)
+    want, _ = run_quotient(pres, oracle)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("src,k", cli_sources())
+def test_one_sided_span_matches_two_sided_on_cli_sources(src, k):
+    assert_matches_oracle(parse_presentation(src, field(k)))
+
+
+def test_one_sided_span_matches_two_sided_on_random_presentations():
+    rng = random.Random(0x5EED)
+    kinds = {}
+    for k in (1, 2, 4):
+        for _ in range(22):
+            got = assert_matches_oracle(random_presentation(rng, field(k)))
+            kind = got[0].__name__ if isinstance(got[0], type) else "quotient"
+            kinds[kind] = kinds.get(kind, 0) + 1
+    # the quotients and both ways to refuse one are exercised
+    assert set(kinds) == {"quotient", "RelationsNotDClosed", "NotClosedAtBound"}, kinds
+    assert min(kinds.values()) >= 10, kinds
