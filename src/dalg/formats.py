@@ -99,9 +99,9 @@ def loads(text: str):
         key = key.strip()
         body = body.strip()
         parts = key.split()
-        if parts[0] == "t" and len(parts) == 3:
+        if len(parts) == 3 and parts[0] == "t":
             t_lines.append((lineno, parts[1], parts[2], body))
-        elif parts[0] == "d" and len(parts) == 2:
+        elif len(parts) == 2 and parts[0] == "d":
             d_lines.append((lineno, parts[1], body))
         elif len(parts) == 1 and parts[0] in ("kind", "field", "n", "unit"):
             if parts[0] in header:

@@ -82,7 +82,7 @@ def verify_lie(L: LieAlgebra2) -> AxiomReport:
             if any(anti):
                 rep.record("twisted_antisymmetry", (i, j), anti, tuple([0] * n))
     # [d e_j, [d e_i, e_k]] = sum_m W[i][k]^m W[j][m]
-    W = L._d_times(dterms, cols)
+    W = L._right_times(dterms, cols)
     for i in range(n):
         ti, Wi = terms[i], W[i]
         for j in range(n):
@@ -125,7 +125,7 @@ def jacobi_seven_term_check(L: LieAlgebra2) -> AxiomReport:
     cols = L._columns()
     dterms = L._d_terms()
     U = L._times(dterms)
-    W = L._d_times(dterms, cols)
+    W = L._right_times(dterms, cols)
     # DD[k][i] = terms of [d e_k, d e_i]
     DD = [[_nonzero(_contract(ctx, [0] * n, dk, Ui)) for Ui in U] for dk in dterms]
     for i in range(n):

@@ -38,6 +38,33 @@ def tiny_d_algebra(ctx: FieldCtx) -> DAlgebra:
     return DAlgebra(ctx, tensor, dmat, 0)
 
 
+def commutative_tensor(a: DAlgebra, b: DAlgebra) -> DAlgebra:
+    """The untwisted tensor product of commutative a and b: basis
+    e_i (x) f_j at index i * b.n + j, d = d (x) 1 + 1 (x) d.
+
+    It is commutative and passes the unit, associativity and derivation
+    laws; the twisted law fails wherever d(u) d(v) != 0, e.g. at
+    (x (x) 1, 1 (x) x) for ``tiny_d_algebra``, where d(x) d(x) = w (x) w.
+    """
+    ctx, nb = a.ctx, b.n
+    n = a.n * nb
+    tensor = [[[0] * n for _ in range(n)] for _ in range(n)]
+    drows = [[0] * n for _ in range(n)]
+    for i1 in range(a.n):
+        for j1 in range(nb):
+            for i2 in range(a.n):
+                for j2 in range(nb):
+                    v = tensor[i1 * nb + j1][i2 * nb + j2]
+                    for m1, c1 in enumerate(a.tensor[i1][i2]):
+                        for m2, c2 in enumerate(b.tensor[j1][j2]):
+                            v[m1 * nb + m2] ^= ctx.mul(c1, c2)
+            for m in range(a.n):
+                drows[m * nb + j1][i1 * nb + j1] ^= a.dmat.rows[m][i1]
+            for m in range(nb):
+                drows[i1 * nb + m][i1 * nb + j1] ^= b.dmat.rows[m][j1]
+    return DAlgebra(ctx, tensor, Matrix(ctx, drows, n), a.unit_idx * nb + b.unit_idx)
+
+
 def field_as_algebra(ctx: FieldCtx) -> DAlgebra:
     """The base field as a one-dimensional algebra."""
     return DAlgebra(ctx, [[[1]]], Matrix.zeros(ctx, 1, 1), 0)

@@ -32,7 +32,9 @@ from dalg import (
     verify_morphism,
 )
 
-from helpers import field_as_algebra, tiny_d_algebra, truncated_poly_algebra
+from dalg.formats import dumps, loads
+from helpers import field_as_algebra, random_dim7, tiny_d_algebra, truncated_poly_algebra
+from test_contraction import dense_verify
 
 
 def naive_mul(alg, a, b):
@@ -258,6 +260,36 @@ def test_embed_algebra_preserves_axioms():
     assert up.ctx is big
     assert up.verify().passed
     assert defect(up) == defect(alg)
+
+
+def test_embed_algebra_inherits_a_passing_report(monkeypatch):
+    rng = random.Random(23)
+    scans = []
+    scan = AssocAlgebra2._verify_assoc
+
+    def spy(self, rep):
+        scans.append(self)
+        return scan(self, rep)
+
+    monkeypatch.setattr(AssocAlgebra2, "_verify_assoc", spy)
+    for a in [loads(dumps(random_dim7(rng))) for _ in range(4)] + [truncated_poly_algebra(field(8), 3)]:
+        a.verify()
+        big, emb = field_extend(a.ctx)
+        scans.clear()
+        up = embed_algebra(a, big, emb)
+        assert up.verify() is a.verify() and scans == []
+        fresh = type(up)(big, up.tensor, up.dmat.rows, up.unit_idx)
+        assert str(up.verify()) == str(fresh.verify()) == str(dense_verify(fresh))
+    # a failing report is not passed on: its vectors live in the small field
+    small = field(2)
+    big, emb = field_extend(small)
+    tensor = [[list(v) for v in row] for row in truncated_poly_algebra(small, 3).tensor]
+    tensor[1][2] = [1, 0, 0]
+    broken = DAlgebra(small, tensor, Matrix.zeros(small, 3, 3), 0)
+    assert not broken.verify().passed
+    up = embed_algebra(broken, big, emb)
+    assert up._report is None
+    assert str(up.verify()) == str(dense_verify(up))
 
 
 @pytest.mark.parametrize("cls", [AssocAlgebra2, LieAlgebra2])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from dalg import (
+    AssocAlgebra2,
     LieAlgebra2,
     Matrix,
     TheoremViolation,
@@ -19,11 +20,13 @@ from dalg import (
     field,
     gl_object,
 )
-from dalg import cli
+from dalg import cli, dim7
+from dalg.formats import loads
 from dalg.cli import main
 from dalg.dim7 import make_D, normalize7
 from dalg.pbw import MAX_SANDWICHED
 from helpers import (
+    commutative_tensor,
     dense_assoc_corrupt_gf16,
     dense_rebase,
     gf4_over_gf2_algebra,
@@ -277,6 +280,19 @@ def t3_corrupt_text():
     return text.replace("t 1 2: 0 0 0", "t 1 2: 1 0 0")
 
 
+def dim7_gf4_text():
+    # a member over GF(4) in a random basis; its normalization doubles the field
+    rng = random.Random(1)
+    ctx = field(4)
+    return dumps(dense_rebase(make_D(ctx, ctx.rand(rng), ctx.rand(rng), ctx.rand(rng)), rng))
+
+
+def commutative_tensor_dense_text():
+    # commutative with d != 0 in a dense basis: fails the twisted law alone, 56 times
+    t = tiny_d_algebra(field(8))
+    return dumps(dense_rebase(commutative_tensor(t, t), random.Random(0xDC)))
+
+
 def gl3_e01_text():
     # d = [E01, -]; its image is not leading, so both commands reorder the basis
     e01 = Matrix(field(8), [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
@@ -301,12 +317,39 @@ def gl3_e01_text():
         ("invariants_d_t3_dense_gf16", ["invariants", "-"], d_t3_dense_gf16_text),
         ("check_dense_assoc_corrupt_gf16", ["check", "-"], lambda: dumps(dense_assoc_corrupt_gf16())),
         ("present_d_t3_dense_gf16", ["present", "-", "--bound", "4"], d_t3_dense_gf16_text),
+        ("check_d_source", ["check", "-"], lambda: D_SOURCE),
+        ("classify7_gf4_extends", ["classify7", "-"], dim7_gf4_text),
+        ("check_commutative_tensor_dense", ["check", "-"], commutative_tensor_dense_text),
     ],
 )
 def test_report_matches_golden(golden, argv, source, capsys, monkeypatch):
     # recorded once; reports, relation order and messages must not drift
     _, text = run(capsys, argv, source(), monkeypatch)
     assert text == (GOLDEN / f"{golden}.txt").read_text()
+
+
+def test_each_algebra_is_scanned_once(capsys, monkeypatch):
+    scans = []
+    scan = AssocAlgebra2._verify_assoc
+
+    def spy(self, rep):
+        scans.append(self)
+        return scan(self, rep)
+
+    dim7._family_parts()  # the family proof, once per process
+    monkeypatch.setattr(AssocAlgebra2, "_verify_assoc", spy)
+    # the quotient is verified where it is built; check reports that run
+    _, text = run(capsys, ["check", "-"], D_SOURCE, monkeypatch)
+    assert text == (GOLDEN / "check_d_source.txt").read_text()
+    assert len(scans) == 1
+    # loads verifies; classify7, make_D and the morphism checks scan nothing
+    a = loads(dim7_gf4_text())
+    scans.clear()
+    res = normalize7(a)
+    assert res.extended and scans == []
+    _, text = run(capsys, ["classify7", "-"], dim7_gf4_text(), monkeypatch)
+    assert text == (GOLDEN / "classify7_gf4_extends.txt").read_text()
+    assert len(scans) == 1
 
 
 def test_pbw_verify_and_counts(capsys, monkeypatch):

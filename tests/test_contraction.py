@@ -32,11 +32,14 @@ from dalg import (
     verify_lie,
     verify_morphism,
 )
+from dalg import algebra
 from dalg.algebra import AxiomReport, vec_xor
+from dalg.linalg import nullspace_rows
 from dalg.errors import DimensionMismatch, ShapeMismatch
 from dalg.dim7 import make_D
 
 from helpers import (
+    commutative_tensor,
     corpus_small,
     dense_rebase,
     random_dim7,
@@ -290,6 +293,34 @@ def middle_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def twisted_rows(monkeypatch):
+    """Records len(rows) of every twisted-commutativity scan."""
+    sizes = []
+    scan = DAlgebra._twisted_failures
+
+    def spy(self, dterms, rows):
+        sizes.append(len(rows))
+        return scan(self, dterms, rows)
+
+    monkeypatch.setattr(DAlgebra, "_twisted_failures", spy)
+    return sizes
+
+
+@pytest.fixture
+def multiplicative_rows(monkeypatch):
+    """Records len(rows) of every multiplicativity scan of verify_morphism."""
+    sizes = []
+    scan = algebra._multiplicative_failures
+
+    def spy(m, fterms, rows):
+        sizes.append(len(rows))
+        return scan(m, fterms, rows)
+
+    monkeypatch.setattr(algebra, "_multiplicative_failures", spy)
+    return sizes
+
+
 # -- the comparisons ------------------------------------------------------------
 
 
@@ -320,7 +351,7 @@ def test_verify_matches_dense_loops(k, middle_sizes):
     assert broken >= 6
 
 
-def unital_gf2_dim3():
+def unital_gf2_dim3(cls=AssocAlgebra2):
     """Every unital product on GF(2)^3 with e_0 = 1: the four products of
     e_1, e_2 range over all 2^12 choices."""
     ctx = field(1)
@@ -328,7 +359,15 @@ def unital_gf2_dim3():
         tensor = [[[int(0 in (i, j) and m == i + j) for m in range(3)] for j in range(3)] for i in range(3)]
         for s, (i, j) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2)]):
             tensor[i][j] = [bits >> (3 * s + m) & 1 for m in range(3)]
-        yield AssocAlgebra2(ctx, tensor, Matrix.zeros(ctx, 3, 3))
+        yield cls(ctx, tensor, Matrix.zeros(ctx, 3, 3))
+
+
+def every_d(a):
+    """a with each d on GF(2)^3 that has d(1) = 0."""
+    ctx = a.ctx
+    for bits in range(1 << 6):
+        cols = [[0, 0, 0]] + [[bits >> (3 * c + m) & 1 for m in range(3)] for c in range(2)]
+        yield type(a)(ctx, a.tensor, Matrix.from_cols(ctx, cols, 3))
 
 
 def test_verify_matches_dense_loops_on_every_gf2_dim3_algebra(middle_sizes):
@@ -346,10 +385,46 @@ def test_verify_matches_dense_loops_on_every_gf2_dim3_algebra(middle_sizes):
     # algebras with one failing triple, a d that is not a derivation would
     # let a reduced scan miss it
     for a in associative + one_failure:
-        for bits in range(1 << 6):
-            cols = [[0, 0, 0]] + [[bits >> (3 * c + m) & 1 for m in range(3)] for c in range(2)]
-            v = AssocAlgebra2(ctx, a.tensor, Matrix.from_cols(ctx, cols, 3))
+        for v in every_d(a):
             assert str(v.verify()) == str(dense_verify(v))
+
+
+def test_twisted_law_matches_dense_loops_on_every_gf2_dim3_d_algebra(twisted_rows):
+    # the twisted scan is reduced exactly when the associative laws pass,
+    # which needs an associative tensor; every d is tried on those
+    reduced = 0
+    candidates = []
+    for a in unital_gf2_dim3(DAlgebra):
+        got = a.verify()
+        assert str(got) == str(dense_verify(a))
+        if not {f.axiom for f in got.failures} - {"d_commutativity"}:
+            candidates.append(a)
+    assert len(candidates) == 76
+    for a in candidates:
+        for v in every_d(a):
+            twisted_rows.clear()
+            got = v.verify()
+            assert str(got) == str(dense_verify(v))
+            if not {f.axiom for f in got.failures} - {"d_commutativity"}:
+                assert twisted_rows[0] < v.n
+                reduced += 1
+    assert reduced > 100
+
+
+@pytest.mark.parametrize("k", KS)
+def test_twisted_law_falls_back_on_commutative_algebras_with_d(k, twisted_rows):
+    # commutative, associative, d a square-zero derivation: only the twisted
+    # law fails, so the reduced scan finds it and the full scan reports it
+    ctx = field(k)
+    rng = random.Random(700 + k)
+    tiny, t2 = tiny_d_algebra(ctx), truncated_poly_algebra(ctx, 2)
+    square = commutative_tensor(tiny, tiny)
+    for a in (square, dense_rebase(square, rng), commutative_tensor(tiny, commutative_tensor(tiny, t2))):
+        twisted_rows.clear()
+        got = a.verify()
+        assert str(got) == str(dense_verify(a))
+        assert got.failures and {f.axiom for f in got.failures} == {"d_commutativity"}
+        assert twisted_rows == [len(a.generators()), a.n] and twisted_rows[0] < a.n
 
 
 def random_morphism(src, tgt, rng):
@@ -389,6 +464,81 @@ def test_verify_morphism_matches_dense_loops(k):
             else:
                 failing += 1
     assert failing > 10 and passing > 10
+
+
+def random_combination(ctx, rows, n, rng):
+    out = [0] * n
+    for row in rows:
+        c = ctx.rand(rng)
+        out = [x ^ ctx.mul(c, y) for x, y in zip(out, row)]
+    return out
+
+
+def unital_equivariant_perturbation(m: Morphism, rng) -> Morphism:
+    """m + v lambda with v in Ker(d) of the target and lambda vanishing on 1
+    and on Im(d) of the source: unital and d-equivariant whenever m is, and
+    seldom multiplicative."""
+    src, tgt = m.source, m.target
+    ctx = src.ctx
+    lams = nullspace_rows(ctx, [src.dmat.col(j) for j in range(src.n)] + [src.unit_vec()], src.n)
+    lam = random_combination(ctx, lams, src.n, rng)
+    v = random_combination(ctx, tgt.ker_d().rows, tgt.n, rng)
+    rows = [[x ^ ctx.mul(vr, lc) for x, lc in zip(r, lam)] for r, vr in zip(m.mat.rows, v)]
+    return Morphism(src, tgt, Matrix(ctx, rows, src.n))
+
+
+def is_equivariant(m: Morphism) -> bool:
+    return m.mat.mul(m.source.dmat) == m.target.dmat.mul(m.mat)
+
+
+@pytest.mark.parametrize("k", KS)
+def test_verify_morphism_on_generators_matches_dense_loops(k, multiplicative_rows):
+    rng = random.Random(800 + k)
+    ctx = field(k)
+    cases = []  # (morphism, whether the scan may read the rows in J only)
+    unverified = []
+    for a in algebra_inputs(k):
+        rows = [a.unit_vec()] + [a.rand_vec(rng) for _ in range(a.n - 1)]
+        if Subspace(ctx, a.n, rows).dim != a.n:
+            continue
+        fresh, phi_fresh = change_basis(a, rows, unit=a.unit_vec())
+        b, phi = change_basis(a, rows, unit=a.unit_vec())
+        assert a.verify().passed and b.verify().passed
+        # both endpoints hold a passing report, and the map is unital and equivariant
+        cases += [(phi, True), (Morphism(a, b, phi.mat.inverse()), True)]
+        cases.append((unital_equivariant_perturbation(phi, rng), True))
+        # a source with no report yet
+        cases.append((phi_fresh, False))
+        unverified.append(fresh)
+        broken = perturbed(a, rng, 1, 1)
+        if not broken.verify().passed:
+            cases.append((Morphism(b, broken, phi.mat), False))
+        wild = random_morphism(b, a, rng)
+        if not is_equivariant(wild):
+            cases.append((wild, False))
+        if a.n > 1:
+            cols = [phi.mat.col(j) for j in range(a.n)]
+            cols[0] = vec_xor(cols[0], a.basis_vec(a.n - 1))
+            cases.append((Morphism(b, a, Matrix.from_cols(ctx, cols, a.n)), False))
+    kinds = {reduced: 0 for reduced in (True, False)}
+    fell_back = 0
+    for m, reduced in cases:
+        kinds[reduced] += 1
+        for iso in (False, True):
+            multiplicative_rows.clear()
+            got = verify_morphism(m, require_iso=iso)
+            assert str(got) == str(dense_verify_morphism(m, require_iso=iso))
+            n = m.source.n
+            if not reduced:
+                assert multiplicative_rows == [n]
+            elif any(f.axiom == "multiplicative" for f in got.failures):
+                assert multiplicative_rows == [len(m.source.generators()), n]
+                fell_back += 1
+            else:
+                assert multiplicative_rows == [len(m.source.generators())]
+    assert kinds[True] > 20 and kinds[False] > 20 and fell_back > 4
+    # verify_morphism starts no verify of its own
+    assert all(fresh._report is None for fresh in unverified)
 
 
 def lie_inputs(k):

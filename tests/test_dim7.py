@@ -1,11 +1,15 @@
 import random
+import re
 
 import pytest
 
 from dalg import (
+    DAlgebra,
+    Matrix,
     NeedsExtension,
     NotApplicable,
     Subspace,
+    TheoremViolation,
     change_basis,
     defect,
     field,
@@ -13,9 +17,11 @@ from dalg import (
     lemma_suite,
     verify_morphism,
 )
+from dalg import dim7
 from dalg.dim7 import _quotient_D, classify7, kill_q, make_D, normalize7, reduce_to_q
 
 from helpers import truncated_poly_algebra
+from test_contraction import dense_verify
 
 
 def test_make_D_shape_and_cache():
@@ -70,6 +76,84 @@ def test_make_D_matches_presentation_quotient(k):
         assert got.tensor == want.tensor
         assert got.dmat.rows == want.dmat.rows
         assert got.basis_labels == want.basis_labels
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+def test_make_D_members_carry_the_family_proof(k):
+    # no member is scanned on its own; a fresh copy of each passes both scans
+    ctx = field(k)
+    rng = random.Random(900 + k)
+    for _ in range(6):
+        d = make_D(ctx, ctx.rand(rng), ctx.rand(rng), ctx.rand(rng))
+        memo = d._report
+        assert memo is not None and d.verify() is memo
+        copy = DAlgebra(ctx, d.tensor, d.dmat.rows, d.unit_idx)
+        assert dense_verify(copy).passed
+        assert str(memo) == str(copy.verify())
+
+
+def test_family_proof_points_are_unisolvent():
+    # every nonzero polynomial of total degree <= 2 in (h, k, p) over GF(2)
+    # is nonzero at one of the points _prove_family verifies
+    ctx = field(2)
+    exps = [(a, b, c) for a in range(3) for b in range(3) for c in range(3) if a + b + c <= 2]
+    points = exps  # t_0, t_1, t_2 = 0, 1, w are the elements 0, 1, 2 of GF(4)
+    assert len(points) == 10
+
+    def mono(e, x):
+        out = 1
+        for xi, ei in zip(x, e):
+            out = ctx.mul(out, ctx.pow(xi, ei) if ei else 1)
+        return out
+
+    table = [[mono(e, x) for e in exps] for x in points]
+    for bits in range(1, 1 << len(exps)):
+        values = [0] * len(points)
+        for s, e in enumerate(exps):
+            if bits >> s & 1:
+                values = [v ^ row[s] for v, row in zip(values, table)]
+        assert any(values), bits
+
+
+def test_family_proof_rejects_a_flipped_entry():
+    base, parts, proof = dim7._family_parts()
+    assert proof.passed
+    n = base.n
+    # x1^2 and x2^2 at xi1 xi2 (coordinate 5) may take any parameter: flips
+    # there give another family of d-algebras
+    squares = {(3, 3, 5), (4, 4, 5)}
+    rng = random.Random(61)
+    for w, part in enumerate(parts):
+        flips = set(part) | {(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(6)}
+        for entry in sorted(flips | squares):
+            flipped = list(parts)
+            flipped[w] = tuple(sorted(set(part) ^ {entry}))
+            if entry in squares:
+                assert dim7._prove_family(base, tuple(flipped)).passed
+                continue
+            with pytest.raises(TheoremViolation, match=r"over GF\(4\) fails axioms"):
+                dim7._prove_family(base, tuple(flipped))
+
+
+def test_family_proof_reaches_the_degree_two_points():
+    # d = 0 families on 1, e1, e2, e3 whose laws fail only at points with
+    # a + b + c = 2: residual h (h + 1) at D(w, 0, 0), residual h k at D(1, 1, 0)
+    gf2 = field(1)
+
+    def base(square):
+        t = [[[int(0 in (i, j) and m == i + j) for m in range(4)] for j in range(4)] for i in range(4)]
+        t[1][1][2] = square
+        a = DAlgebra(gf2, t, Matrix.zeros(gf2, 4, 4), 0)
+        a.basis_labels = None
+        return a
+
+    cases = [
+        (base(1), (((1, 1, 2), (2, 2, 3)), (), ()), "D(2,0,0)"),  # e1^2 = (1 + h) e2, e2^2 = h e3
+        (base(0), (((1, 1, 2),), ((2, 2, 3),), ()), "D(1,1,0)"),  # e1^2 = h e2, e2^2 = k e3
+    ]
+    for b, parts, member in cases:
+        with pytest.raises(TheoremViolation, match=re.escape(f"{member} over GF(4) fails axioms")):
+            dim7._prove_family(b, parts)
 
 
 def test_classify_family_member_recovers_parameters():

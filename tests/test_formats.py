@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dalg import (
     AssocAlgebra2,
     AxiomsFailed,
     DAlgebra,
+    DalgError,
     FormatError,
     LieAlgebra2,
     Matrix,
@@ -18,6 +20,7 @@ from dalg import (
     field,
     gl_object,
     loads,
+    verify_lie,
 )
 from dalg.dim7 import make_D
 from helpers import tiny_d_algebra, truncated_poly_algebra
@@ -116,6 +119,7 @@ def test_print_then_parse_is_identity_on_random_algebras():
         (lambda t: t + "volume: 9\n", "unknown key"),
         (lambda t: t.replace("t 0 0", "t 0 0 0"), "unknown key"),
         (lambda t: "just words\n" + t, "expected 'key: value'"),
+        (lambda t: t + ": 0 1 0\n", "unknown key ''"),
         # the n x n grid would take gigabytes: the first gap is found before it
         (lambda t: "kind: dalgebra\nfield: 1\nn: 100000000\nunit: 0\n", "missing tensor entry t 0 0"),
     ],
@@ -155,3 +159,69 @@ def test_lie_axiom_violation_detected_on_load():
 def test_dumps_rejects_foreign_objects():
     with pytest.raises(FormatError):
         dumps(object())
+
+
+def seed_texts(k):
+    """Valid files of every kind over GF(2^k), the seeds the fuzzer edits."""
+    ctx = field(k)
+    tiny = dumps(tiny_d_algebra(ctx))
+    return [
+        tiny,
+        dumps(truncated_poly_algebra(ctx, 2)),
+        tiny.replace("kind: dalgebra", "kind: assoc2"),
+        dumps(abelian_lie(ctx, 2, dmat=[[0, 1], [0, 0]])),
+    ]
+
+
+TOKENS = ["t", "d", "kind", "field", "n", "unit", ":", "#", "dalgebra", "assoc2", "lie2"]
+TOKENS += ["-1", "0", "1", "2", "3", "7", "17", "ff", "1_0", "0x1", ""]
+
+
+@st.composite
+def edited_texts(draw):
+    """A valid file with up to four edits: a line dropped, repeated or
+    swapped with another, one scalar or token replaced, or a key-value line
+    of tokens inserted."""
+    lines = draw(st.sampled_from(seed_texts(draw(st.sampled_from([1, 2, 4]))))).splitlines()
+    token = st.one_of(st.sampled_from(TOKENS), st.text("0123456789abcdef :#", max_size=4))
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["drop", "repeat", "swap", "scalar", "scalar", "scalar", "token", "insert"]))
+        i = draw(st.integers(0, len(lines)))
+        if op == "insert":
+            key, body = (" ".join(draw(st.lists(token, max_size=n))) for n in (3, 4))
+            lines.insert(i, f"{key}: {body}")
+            continue
+        if not lines:
+            continue
+        i %= len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            words = lines[i].split(" ")
+            if op == "scalar":
+                # after the key, so the file mostly stays well formed
+                first = next((w + 1 for w, word in enumerate(words) if word.endswith(":")), 0)
+                words[draw(st.integers(min(first, len(words) - 1), len(words) - 1))] = format(
+                    draw(st.integers(0, 3)), "x"
+                )
+            else:
+                words[draw(st.integers(0, len(words) - 1))] = draw(token)
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(edited_texts())
+def test_loads_verifies_or_refuses(text):
+    # a verified object or a package error; no other way to end
+    try:
+        obj = loads(text)
+    except DalgError:
+        return
+    report = verify_lie(obj) if isinstance(obj, LieAlgebra2) else obj.verify()
+    assert report.passed, text
