@@ -161,6 +161,8 @@ class StructureConstants:
 
     ``terms[i][j]`` lists the nonzero (m, c) of e_i e_j.  It is built once
     here, so the tensor and d must not be edited after construction.
+    ``_report`` holds the memoised axiom report of the subclass's check
+    (:meth:`AssocAlgebra2.verify`, :func:`dalg.lie.verify_lie`).
     """
 
     def __init__(self, ctx: FieldCtx, tensor: Tensor, dmat):
@@ -177,6 +179,7 @@ class StructureConstants:
         self.tensor = [[list(v) for v in row] for row in tensor]
         self.terms = [[_nonzero(v) for v in row] for row in self.tensor]
         self.dmat = dmat
+        self._report: AxiomReport | None = None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, k={self.ctx.k})"
@@ -265,7 +268,6 @@ class AssocAlgebra2(StructureConstants):
         if not 0 <= unit_idx < self.n:
             raise ShapeMismatch("unit index out of range")
         self.unit_idx = unit_idx
-        self._report: AxiomReport | None = None
         self._gens: list | None = None
 
     def unit_vec(self) -> Vec:

@@ -34,6 +34,7 @@ one doubling).
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -233,7 +234,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="dalg", description="exact d-algebra and twisted Lie algebra checks"
     )

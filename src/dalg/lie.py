@@ -62,7 +62,12 @@ def verify_lie(L: LieAlgebra2) -> AxiomReport:
     Ker(d) the map x -> [x,x] is additive (its cross terms cancel by
     antisymmetry since the d-correction dies) and scales by squares, so a
     kernel basis decides it.
+
+    The report is memoised on L, as :meth:`AssocAlgebra2.verify` does, so
+    callers share it and must not mutate it.
     """
+    if L._report is not None:
+        return L._report
     rep = AxiomReport("lie2")
     n, ctx = L.n, L.ctx
     T, terms = L.tensor, L.terms
@@ -103,6 +108,7 @@ def verify_lie(L: LieAlgebra2) -> AxiomReport:
         "alternating law checked on a kernel basis only: there x -> [x,x] "
         "is additive by antisymmetry and scales by c^2"
     )
+    L._report = rep
     return rep
 
 

@@ -27,23 +27,25 @@ which is what :func:`prove_pbw` runs:
     (all have length 2, so there are no inclusions) straightens to the
     same normal form after one rewrite at either position.
 
-Then standard words are a basis of U, every strategy and every valid
-choice of preimages gives the same normal form, and every sandwiched
-relation u R(i,j) w straightens to zero.  :func:`verify_pbw` and
-:func:`confluence_test` report from the proof and fall back to their
-bounded scan and fuzz only where it fails; the N in "checked N
-sandwiched relations" is :func:`sandwich_count`, the relations the scan
-would straighten and the proof covers.
+Then standard words are a basis of U, every order of rewriting and
+every valid choice of preimages gives the same normal form, and every
+sandwiched relation u R(i,j) w straightens to zero.  :func:`verify_pbw`
+and :func:`confluence_test` answer from this proof alone; the N in
+"checked N sandwiched relations" is :func:`sandwich_count`, the
+relations up to the bound that the proof covers.  Where a check fails,
+:func:`verify_pbw` reports it as its witness and :func:`confluence_test`
+refuses.  The lemma runs both ways, so a failing check on a verified
+twisted Lie algebra (all that ``dalg.formats.loads`` returns) would
+contradict the PBW theorem; only unverified library input gets there.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import Iterable, Sequence
 
-from .algebra import AxiomReport, _nonzero
+from .algebra import AxiomFailure, AxiomReport, _nonzero
 from .errors import DegreeOverflow, IndexOutOfRange, NotApplicable
 from .gf2k import Fe
 from .lie import LieAlgebra2
@@ -65,11 +67,6 @@ __all__ = [
 ]
 
 Word = tuple
-
-# the fallback scan's ceiling on sandwiched relations; the largest shipped
-# input (gl(3) at bound 4) checks 14,742
-MAX_SANDWICHED = 250_000
-
 
 def word_defect(w: Word) -> int:
     """Number of out-of-order pairs (not necessarily adjacent)."""
@@ -142,16 +139,16 @@ def _add_into(acc: dict, w: Word, c: Fe) -> None:
 
 
 class StraightenCtx:
-    """Rewriting context: ordered basis data, preimages, per-strategy memos.
+    """Rewriting context: ordered basis data, preimages and the memo.
 
     The Lie basis must already have its Im(d) span sitting in the first
-    ``kk`` positions (so d of anything expands over d-killed letters, which
-    is what makes the rewrite terminate).  ``preimages[i]`` is a vector
-    with d(preimages[i]) = e_i; by default the lexicographically least
-    solution, and any other choice gives the same normal forms.
+    ``kk`` positions (so d of anything expands over those letters, which
+    is what makes the rewrite terminate).  ``preimages[i]`` is the
+    lexicographically least w with d(w) = e_i; where :func:`prove_pbw`
+    holds, any other choice gives the same normal forms.
     """
 
-    def __init__(self, L: LieAlgebra2, preimages: Sequence[Sequence[Fe]] | None = None):
+    def __init__(self, L: LieAlgebra2):
         ctx = L.ctx
         im = L.im_d()
         kk = im.dim
@@ -160,28 +157,16 @@ class StraightenCtx:
             raise NotApplicable(
                 "the first dim Im(d) basis vectors must span Im(d)"
             )
-        dterms = L._d_terms()
-        if any(m >= kk for col in dterms for m, _ in col):
-            raise NotApplicable("a d-image leaks outside the prefix block")
-        if preimages is None:
-            preimages = [
-                solve_lex_least(ctx, L.dmat, L.basis_vec(i)) for i in range(kk)
-            ]
-        else:
-            preimages = [list(p) for p in preimages]
-            if len(preimages) != kk:
-                raise NotApplicable("need one d-preimage per prefix vector")
-        for i, w in enumerate(preimages):
-            if L.d(w) != L.basis_vec(i):
-                raise NotApplicable(f"preimage {i} has the wrong d-image")
         self.L = L
         self.ctx = ctx
         self.kk = kk
-        self.preimages = preimages
+        self.preimages = [
+            solve_lex_least(ctx, L.dmat, L.basis_vec(i)) for i in range(kk)
+        ]
         # term lists: d(e_j), and [w, w] for the preimage w of e_i
-        self._dterms = dterms
-        self._square_brackets = [_nonzero(L.bracket(w, w)) for w in preimages]
-        self._memos: dict = {}
+        self._dterms = L._d_terms()
+        self._square_brackets = [_nonzero(L.bracket(w, w)) for w in self.preimages]
+        self._memo: dict = {}
 
     # -- word predicates ----------------------------------------------------
 
@@ -199,61 +184,39 @@ class StraightenCtx:
 
     # -- straightening ------------------------------------------------------
 
-    def straighten(self, w: Sequence[int], strategy="leftmost") -> TElem:
+    def straighten(self, w: Sequence[int]) -> TElem:
         word = tuple(w)
         for i in word:
             if not 0 <= i < self.L.n:
                 raise IndexOutOfRange(f"letter {i} outside basis range")
-        return TElem(self._straighten(word, self._strategy_key(strategy)))
+        return TElem(self._straighten(word))
 
-    def straighten_elem(self, t: TElem, strategy="leftmost") -> TElem:
-        key = self._strategy_key(strategy)
+    def straighten_elem(self, t: TElem) -> TElem:
         acc: dict = {}
         for w, c in t.terms.items():
-            self._accumulate(acc, c, w, key)
+            self._accumulate(acc, c, w)
         return TElem(acc)
 
-    def _accumulate(self, acc: dict, c: Fe, word: Word, key) -> None:
+    def _accumulate(self, acc: dict, c: Fe, word: Word) -> None:
         """Add c times the normal form of word into acc."""
         mul = self.ctx.mul
-        for sw, sc in self._straighten(word, key).items():
+        for sw, sc in self._straighten(word).items():
             _add_into(acc, sw, mul(c, sc))
 
-    def _strategy_key(self, strategy):
-        if strategy in ("leftmost", "rightmost"):
-            return strategy
-        if (
-            isinstance(strategy, tuple)
-            and len(strategy) == 2
-            and strategy[0] == "random"
-        ):
-            return ("random", int(strategy[1]))
-        raise NotApplicable(f"unknown strategy {strategy!r}")
-
-    def _pick(self, key, word: Word, npos: int) -> int:
-        if key == "leftmost":
-            return 0
-        if key == "rightmost":
-            return npos - 1
-        h = key[1] & 0xFFFFFFFF
-        for letter in word:
-            h = (h * 1000003 ^ (letter + 1)) & 0xFFFFFFFF
-        return h % npos
-
-    def _straighten(self, word: Word, key) -> dict:
-        """Normal form of word, filling the strategy's memo bottom-up.
+    def _straighten(self, word: Word) -> dict:
+        """Normal form of word, filling the memo bottom-up.
 
         An explicit stack replaces recursion, so the number of rewrites
         along a chain is bounded by memory rather than by the recursion
         limit.  A word leaves the stack once every word its rewrite step
         produced has a memoised normal form.
         """
-        memo = self._memos.setdefault(key, {})
+        memo = self._memo
         hit = memo.get(word)
         if hit is not None:
             return hit
         mul = self.ctx.mul
-        stack = [(word, self._straighten_step(word, key))]
+        stack = [(word, self._straighten_step(word))]
         while stack:
             w, step = stack[-1]
             if w in memo:
@@ -264,7 +227,7 @@ class StraightenCtx:
             else:
                 todo = [t for t, _ in step if t not in memo]
                 if todo:
-                    stack.extend((t, self._straighten_step(t, key)) for t in todo)
+                    stack.extend((t, self._straighten_step(t)) for t in todo)
                     continue
                 acc: dict = {}
                 for t, c in step:
@@ -274,22 +237,20 @@ class StraightenCtx:
                 stack.pop()
         return memo[word]
 
-    def _straighten_step(self, word: Word, key):
-        """One rewrite of word where the strategy says, or None if standard.
+    def _straighten_step(self, word: Word):
+        """The rewrite at the leftmost site of word, or None if standard.
 
         Descents go first; squares of prefix letters only once the word
         is sorted.
         """
-        sites = [j for j in range(len(word) - 1) if word[j] > word[j + 1]]
-        if not sites:
-            sites = [
-                j
-                for j in range(len(word) - 1)
-                if word[j] == word[j + 1] and word[j] < self.kk
-            ]
-            if not sites:
-                return None
-        return self._one_step(word, sites[self._pick(key, word, len(sites))])
+        last = len(word) - 1
+        for j in range(last):
+            if word[j] > word[j + 1]:
+                return self._one_step(word, j)
+        for j in range(last):
+            if word[j] == word[j + 1] < self.kk:
+                return self._one_step(word, j)
+        return None
 
     def _one_step(self, word: Word, j: int) -> list:
         """The rule for the left-hand side word[j:j+2], applied in place.
@@ -313,17 +274,16 @@ class StraightenCtx:
 
     # -- enveloping-algebra arithmetic --------------------------------------
 
-    def u_mul(self, a: TElem, b: TElem, bound: int, strategy="leftmost") -> TElem:
+    def u_mul(self, a: TElem, b: TElem, bound: int) -> TElem:
         if a.degree + b.degree > bound:
             raise DegreeOverflow(
                 f"product degree {a.degree + b.degree} exceeds bound {bound}"
             )
         mul = self.ctx.mul
-        key = self._strategy_key(strategy)
         acc: dict = {}
         for wa, ca in a.terms.items():
             for wb, cb in b.terms.items():
-                self._accumulate(acc, mul(ca, cb), wa + wb, key)
+                self._accumulate(acc, mul(ca, cb), wa + wb)
         return TElem(acc)
 
     def u_one(self) -> TElem:
@@ -397,7 +357,7 @@ def standard_count(m: int, kk: int, deg: int) -> int:
 
 
 def sandwich_count(n: int, kk: int, bound: int) -> int:
-    """How many relations u R(i,j) w the scan straightens at this bound.
+    """How many relations u R(i,j) w, u and w standard, fit in this bound.
 
     n^2 for each pair of standard words with |u| + |w| <= bound - 2, and
     none below bound 2.  Such a pair is one standard word on two copies
@@ -434,23 +394,33 @@ def _relations(sctx: StraightenCtx) -> list:
     return rel
 
 
-def prove_pbw(sctx: StraightenCtx) -> bool:
-    """The diamond lemma's two checks on sctx's rewrite rules.
+def _sorted(t: TElem) -> tuple:
+    return tuple(sorted(t.terms.items()))
 
-    True when (a) every relation R(i,j) straightens to 0 and (b) every
-    overlap xyz of two left-hand sides resolves, which proves the PBW
-    theorem in every degree (see the module docstring).  False when a
-    check fails, or when a prefix letter has nonzero d, where the order
-    that makes rewriting terminate is not available.
+
+def _pbw_witness(sctx: StraightenCtx) -> AxiomFailure | None:
+    """The first failing check of the diamond lemma, or None if all hold.
+
+    In this order: a prefix letter with nonzero d, which must come first
+    because without it the order that makes rewriting terminate is not
+    available; a relation R(i,j) whose normal form is nonzero, named as
+    the sandwiched relation ((), i, j, ()); an overlap xyz whose two
+    one-step rewrites have different normal forms.
     """
     kk, n = sctx.kk, sctx.L.n
-    if any(sctx._dterms[i] for i in range(kk)):
-        return False
+    for i in range(kk):
+        if sctx._dterms[i]:
+            return AxiomFailure(
+                "d_kills_prefix", (i,), tuple(sctx.L.dmat.col(i)), (0,) * n
+            )
     normal_form = sctx.straighten_elem
-    for row in _relations(sctx):
-        for terms in row:
-            if not normal_form(TElem(terms)).is_zero():
-                return False
+    for i, row in enumerate(_relations(sctx)):
+        for j, terms in enumerate(row):
+            out = normal_form(TElem(terms))
+            if not out.is_zero():
+                return AxiomFailure(
+                    "relation_straightens_to_zero", ((), i, j, ()), _sorted(out), ()
+                )
     lhs = [[a > b or a == b < kk for b in range(n)] for a in range(n)]
     for x in range(n):
         for y in range(n):
@@ -460,9 +430,18 @@ def prove_pbw(sctx: StraightenCtx) -> bool:
                 if lhs[y][z]:
                     w = (x, y, z)
                     left = normal_form(TElem(sctx._one_step(w, 0)))
-                    if left != normal_form(TElem(sctx._one_step(w, 1))):
-                        return False
-    return True
+                    right = normal_form(TElem(sctx._one_step(w, 1)))
+                    if left != right:
+                        return AxiomFailure(
+                            "overlap_resolves", w, _sorted(left), _sorted(right)
+                        )
+    return None
+
+
+def prove_pbw(sctx: StraightenCtx) -> bool:
+    """Whether the diamond lemma's checks on sctx's rewrite rules all hold,
+    which proves the PBW theorem in every degree (see the module docstring)."""
+    return _pbw_witness(sctx) is None
 
 
 def verify_pbw(sctx: StraightenCtx, bound: int) -> AxiomReport:
@@ -474,73 +453,29 @@ def verify_pbw(sctx: StraightenCtx, bound: int) -> AxiomReport:
     them means no combination of standard words dies in the quotient.
     Also confirms the degree-1 words stay independent (the algebra embeds).
 
-    :func:`prove_pbw` settles every sandwiched relation at once; only
-    when it fails are the :func:`sandwich_count` relations straightened
-    one by one, and the report is the same either way.
+    The diamond-lemma proof settles every sandwiched relation at once, so
+    the bound only sets the :func:`sandwich_count` in the note.  Where the
+    proof fails, the report fails at its witness and has no note.
     """
-    if not prove_pbw(sctx):
-        return _scan_pbw(sctx, bound)
     rep = AxiomReport("pbw")
-    _check_degree_one(sctx, rep)
+    witness = _pbw_witness(sctx)
+    if witness is not None:
+        rep.failures.append(witness)
+        return rep
+    for i in range(sctx.L.n):
+        if sctx.straighten((i,)) != TElem.from_word((i,)):
+            rep.record("degree_one_standard", (i,), (), ())
     count = sandwich_count(sctx.L.n, sctx.kk, bound)
     rep.notes.append(f"checked {count} sandwiched relations at bound {bound}")
     return rep
 
 
-def _check_degree_one(sctx: StraightenCtx, rep: AxiomReport) -> None:
-    for i in range(sctx.L.n):
-        if sctx.straighten((i,)) != TElem.from_word((i,)):
-            rep.record("degree_one_standard", (i,), (), ())
-
-
-def _scan_pbw(sctx: StraightenCtx, bound: int) -> AxiomReport:
-    """Straighten every sandwiched relation u R(i,j) w up to the bound.
-
-    Straightening is linear, so the normal form of u R(i,j) w is the sum
-    of c N(u x w) over the term list of R(i,j), accumulated straight from
-    the leftmost memo.  Refuses above ``MAX_SANDWICHED`` relations.
-    """
-    L = sctx.L
-    n = L.n
-    count = sandwich_count(n, sctx.kk, bound)
-    if count > MAX_SANDWICHED:
-        raise NotApplicable(
-            f"{count} sandwiched relations at bound {bound}, more than the"
-            f" {MAX_SANDWICHED} this package straightens when the diamond-lemma"
-            f" proof fails; lower the bound"
-        )
-    rep = AxiomReport("pbw")
-    mul = sctx.ctx.mul
-    straighten = sctx._straighten
-    rel = _relations(sctx)
-    checked = 0
-    shells = list(standard_words(n, sctx.kk, max(bound - 2, 0)))
-    for u in shells:
-        for w in shells:
-            if len(u) + 2 + len(w) > bound:
-                continue
-            for i in range(n):
-                for j in range(n):
-                    acc: dict = {}
-                    for x, c in rel[i][j]:
-                        for sw, sc in straighten(u + x + w, "leftmost").items():
-                            _add_into(acc, sw, mul(c, sc))
-                    checked += 1
-                    if acc:
-                        rep.record(
-                            "relation_straightens_to_zero",
-                            (u, i, j, w),
-                            tuple(sorted(acc.items())),
-                            (),
-                        )
-    _check_degree_one(sctx, rep)
-    rep.notes.append(f"checked {checked} sandwiched relations at bound {bound}")
-    return rep
-
-
 @dataclass
 class ConfluenceReport:
-    """Deterministic record of a strategy/preimage agreement run."""
+    """What :func:`confluence_test` vouches for: ``words_checked`` words
+    whose normal form is the same for every rewrite order and preimage
+    choice.  The mismatch lists belong to the report's format; the proof
+    leaves them empty."""
 
     seed: int
     trials: int
@@ -572,59 +507,25 @@ class ConfluenceReport:
 def confluence_test(
     sctx: StraightenCtx, trials: int, max_len: int, seed: int
 ) -> ConfluenceReport:
-    """Normal forms agree across descent strategies and preimage choices.
+    """Normal forms agree across rewrite orders and preimage choices.
 
-    When :func:`prove_pbw` holds, standard words are a basis of U, so any
-    complete rewrite of a word ends in its one standard representative
-    modulo the relation ideal.  That covers every strategy, and also a
-    context with other valid preimages: its rules lie in the same ideal
-    (v v + [w',w'] = R(w',w')) and leave the same words irreducible.  The
-    report then counts ``trials`` words without straightening any;
-    otherwise the seeded fuzz runs.  A negative ``max_len`` raises
-    :class:`NotApplicable`.
+    When the diamond-lemma proof holds, standard words are a basis of U,
+    so any complete rewrite of a word ends in its one standard
+    representative modulo the relation ideal.  That covers every order
+    of rewriting, and also a context with other valid preimages: its
+    rules lie in the same ideal (v v + [w',w'] = R(w',w')) and leave the
+    same words irreducible.  The report counts ``trials`` words without
+    straightening any.  Where the proof fails, and for a negative
+    ``max_len``, :class:`NotApplicable` is raised.
     """
     if max_len < 0:
         raise NotApplicable(f"max_len must be at least 0, got {max_len}")
-    if prove_pbw(sctx):
-        rep = ConfluenceReport(seed, trials, max_len, words_checked=max(trials, 0))
-        if not sctx.kk:
-            rep.notes.append("d = 0: no preimages to vary")
-        return rep
-    return _fuzz_confluence(sctx, trials, max_len, seed)
-
-
-def _fuzz_confluence(
-    sctx: StraightenCtx, trials: int, max_len: int, seed: int
-) -> ConfluenceReport:
-    """Fuzz normal forms across descent strategies and preimage choices.
-
-    For each random word the leftmost, rightmost and seeded-random
-    strategies must produce the same element, and so must a context whose
-    preimages are shifted by kernel vectors (still valid preimages).
-    """
-    L = sctx.L
-    rng = random.Random(seed)
-    rep = ConfluenceReport(seed=seed, trials=trials, max_len=max_len)
-    alt = None
-    if sctx.kk:
-        kernel = L.ker_d().rows
-        shifted = [
-            [a ^ b for a, b in zip(w, kernel[i % len(kernel)])]
-            for i, w in enumerate(sctx.preimages)
-        ]
-        alt = StraightenCtx(L, preimages=shifted)
-    else:
+    witness = _pbw_witness(sctx)
+    if witness is not None:
+        raise NotApplicable(
+            f"confluence is decided only where the diamond-lemma proof holds; {witness}"
+        )
+    rep = ConfluenceReport(seed, trials, max_len, words_checked=max(trials, 0))
+    if not sctx.kk:
         rep.notes.append("d = 0: no preimages to vary")
-    for t in range(trials):
-        length = rng.randrange(max_len + 1)
-        word = tuple(rng.randrange(L.n) for _ in range(length))
-        base = sctx.straighten(word)
-        rep.words_checked += 1
-        if (
-            sctx.straighten(word, "rightmost") != base
-            or sctx.straighten(word, ("random", seed ^ t)) != base
-        ):
-            rep.strategy_mismatches.append(word)
-        if alt is not None and alt.straighten(word) != base:
-            rep.preimage_mismatches.append(word)
     return rep

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 from dalg import DAlgebra, Matrix, Subspace, field
+from dalg.algebra import AxiomReport, _nonzero
 from dalg.gf2k import FieldCtx
+from dalg.pbw import ConfluenceReport, StraightenCtx, TElem, _add_into, _relations, standard_words
 
 
 def field_trace(ctx: FieldCtx, x: int) -> int:
@@ -259,3 +263,110 @@ def two_sided_relation_span(pres) -> Subspace:
                     row[rev[m]] = c
                 rows.add(tuple(row))
     return Subspace(pa.ctx, nm, rows)
+
+
+# -- PBW oracles: the sandwich scan and the rewrite-site / preimage fuzz -------
+
+
+def scan_pbw(sctx, bound: int):
+    """Straighten every sandwiched relation u R(i,j) w up to the bound.
+
+    u and w run over the standard words; straightening is linear, so the
+    normal form of u R(i,j) w is the sum of c N(u x w) over the term list
+    of R(i,j).  The oracle for what :func:`dalg.pbw.verify_pbw` reads off
+    the diamond-lemma proof: the same report where the proof holds.
+    """
+    n = sctx.L.n
+    rep = AxiomReport("pbw")
+    mul = sctx.ctx.mul
+    rel = _relations(sctx)
+    checked = 0
+    shells = list(standard_words(n, sctx.kk, max(bound - 2, 0)))
+    for u in shells:
+        for w in shells:
+            if len(u) + 2 + len(w) > bound:
+                continue
+            for i in range(n):
+                for j in range(n):
+                    acc: dict = {}
+                    for x, c in rel[i][j]:
+                        for sw, sc in sctx._straighten(u + x + w).items():
+                            _add_into(acc, sw, mul(c, sc))
+                    checked += 1
+                    if acc:
+                        rep.record("relation_straightens_to_zero", (u, i, j, w), tuple(sorted(acc.items())), ())
+    for i in range(n):
+        if sctx.straighten((i,)) != TElem.from_word((i,)):
+            rep.record("degree_one_standard", (i,), (), ())
+    rep.notes.append(f"checked {checked} sandwiched relations at bound {bound}")
+    return rep
+
+
+class SiteCtx(StraightenCtx):
+    """Rewrites at the site ``pick(word, count)`` chooses among the
+    descents (or, in a sorted word, the prefix squares), with the given
+    d-preimages in place of the lexicographically least ones."""
+
+    def __init__(self, L, pick=None, preimages=None):
+        super().__init__(L)
+        self.pick = pick or (lambda word, count: 0)
+        if preimages is not None:
+            assert len(preimages) == self.kk
+            assert all(L.d(w) == L.basis_vec(i) for i, w in enumerate(preimages))
+            self.preimages = [list(w) for w in preimages]
+            self._square_brackets = [_nonzero(L.bracket(w, w)) for w in self.preimages]
+
+    def _straighten_step(self, word):
+        pairs = list(zip(word, word[1:]))
+        sites = [j for j, (a, b) in enumerate(pairs) if a > b]
+        if not sites:
+            sites = [j for j, (a, b) in enumerate(pairs) if a == b < self.kk]
+            if not sites:
+                return None
+        return self._one_step(word, sites[self.pick(word, len(sites))])
+
+
+def rightmost(word, count: int) -> int:
+    return count - 1
+
+
+def scattered(salt: int):
+    """A site picker hashing the word with salt, so each word has its own site."""
+
+    def pick(word, count: int) -> int:
+        h = salt & 0xFFFFFFFF
+        for letter in word:
+            h = (h * 1000003 ^ (letter + 1)) & 0xFFFFFFFF
+        return h % count
+
+    return pick
+
+
+def fuzz_confluence(sctx, trials: int, max_len: int, seed: int):
+    """Straighten seeded random words at other sites and with other preimages.
+
+    For each word the rightmost and the scattered site must give the
+    leftmost normal form of sctx, and so must a context whose preimages
+    are shifted by kernel vectors (still valid preimages).  The oracle for
+    :func:`dalg.pbw.confluence_test`: the same report where the proof holds.
+    """
+    L = sctx.L
+    rng = random.Random(seed)
+    rep = ConfluenceReport(seed=seed, trials=trials, max_len=max_len)
+    others = [SiteCtx(L, rightmost), SiteCtx(L, scattered(seed))]
+    alt = None
+    if sctx.kk:
+        kernel = L.ker_d().rows
+        shifted = [[a ^ b for a, b in zip(w, kernel[i % len(kernel)])] for i, w in enumerate(sctx.preimages)]
+        alt = SiteCtx(L, preimages=shifted)
+    else:
+        rep.notes.append("d = 0: no preimages to vary")
+    for _ in range(trials):
+        word = tuple(rng.randrange(L.n) for _ in range(rng.randrange(max_len + 1)))
+        base = sctx.straighten(word)
+        rep.words_checked += 1
+        if any(other.straighten(word) != base for other in others):
+            rep.strategy_mismatches.append(word)
+        if alt is not None and alt.straighten(word) != base:
+            rep.preimage_mismatches.append(word)
+    return rep

@@ -20,11 +20,11 @@ from dalg import (
     field,
     gl_object,
 )
-from dalg import cli, dim7
+from dalg import cli, dim7, lie
+from dalg.algebra import AxiomReport
 from dalg.formats import loads
 from dalg.cli import main
 from dalg.dim7 import make_D, normalize7
-from dalg.pbw import MAX_SANDWICHED
 from helpers import (
     commutative_tensor,
     dense_assoc_corrupt_gf16,
@@ -352,6 +352,48 @@ def test_each_algebra_is_scanned_once(capsys, monkeypatch):
     assert len(scans) == 1
 
 
+def test_check_on_a_lie_file_scans_the_laws_once(capsys, monkeypatch):
+    # loads verifies and cmd_check reports the same memoised report
+    source = jordan_lie_text()
+    scans = []
+
+    def spy(kind):
+        scans.append(kind)
+        return AxiomReport(kind)
+
+    monkeypatch.setattr(lie, "AxiomReport", spy)
+    _, text = run(capsys, ["check", "-"], source, monkeypatch)
+    assert scans == ["lie2", "jacobi7"]
+    assert text.splitlines() == [
+        "command: check",
+        "kind: lie2",
+        "field: 1",
+        "n: 4",
+        "axioms: pass",
+        "  alternating law checked on a kernel basis only: there x -> [x,x] is additive by antisymmetry and scales by c^2",
+        "jacobi7: pass",
+        "exit: 0",
+    ]
+
+
+def test_one_parser_prints_what_fresh_processes_print(tmp_path, capsys):
+    lie_path = tmp_path / "jordan.lie"
+    lie_path.write_text(jordan_lie_text())
+    dsl_path = tmp_path / "d.dsl"
+    dsl_path.write_text(D_SOURCE)
+    runs = [
+        ["check", str(lie_path), "--format", "kv"],
+        ["invariants", str(dsl_path)],
+        ["confluence", str(lie_path), "--trials", "5", "--format", "human"],
+        ["pbw-verify", str(lie_path), "--bound", "3", "--format", "kv"],
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    for argv in runs:
+        code = main(argv)
+        proc = subprocess.run([sys.executable, "-m", "dalg.cli", *argv], capture_output=True, text=True)
+        assert (code, capsys.readouterr().out) == (proc.returncode, proc.stdout)
+
+
 def test_pbw_verify_and_counts(capsys, monkeypatch):
     code, text = run(capsys, ["pbw-verify", "-", "--bound", "4"], jordan_lie_text(), monkeypatch)
     assert code == 0
@@ -394,20 +436,23 @@ def test_confluence_on_3000_letter_words_exits_0(tmp_path):
     assert "confluence: pass" in proc.stdout.splitlines()
 
 
-def test_pbw_verify_refuses_a_large_scan_with_exit_2(capsys, monkeypatch):
-    # [e0, e0] = e1 breaks the alternating law, so the proof fails and the
-    # scan would take 4 C(402, 4) relations; loads rejects such a bracket,
-    # so the algebra is handed to the command past the loader
+def test_pbw_verify_fails_at_the_witness_with_exit_3(capsys, monkeypatch):
+    # [e0, e0] = e1 breaks the alternating law, so the proof fails at the
+    # relation R(0,0) whatever the bound; loads rejects such a bracket, so
+    # the algebra is handed to the command past the loader
     ctx = field(1)
     bad = LieAlgebra2(ctx, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]], Matrix.zeros(ctx, 2, 2))
     monkeypatch.setattr(cli, "_load_object", lambda text, args: bad)
     start = time.perf_counter()
     code, text = run(capsys, ["pbw-verify", "-", "--bound", "400"], "", monkeypatch)
     assert time.perf_counter() - start < 1.0
-    assert code == 2
-    got = kv(text)
-    assert got["error"] == "input"
-    assert got["message"].startswith(f"4287973200 sandwiched relations at bound 400, more than the {MAX_SANDWICHED} ")
+    assert code == 3
+    assert text.splitlines()[-4:] == [
+        "independence: fail",
+        "independence failure 0: relation_straightens_to_zero",
+        "  relation_straightens_to_zero fails at ((),0,0,()): (((1,), 1),) != ()",
+        "exit: 3",
+    ]
 
 
 def _cli_source(command):

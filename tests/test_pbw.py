@@ -9,7 +9,6 @@ from dalg.pbw import (
     ConfluenceReport,
     StraightenCtx,
     TElem,
-    _scan_pbw,
     confluence_test,
     ordered_for_straightening,
     prove_pbw,
@@ -19,6 +18,8 @@ from dalg.pbw import (
     verify_pbw,
     word_defect,
 )
+
+from helpers import SiteCtx, scan_pbw
 
 rng = random.Random(0x9B3)
 
@@ -134,8 +135,6 @@ def test_straighten_rejects_bad_letters():
     s = StraightenCtx(abelian_lie(field(2), 2))
     with pytest.raises(IndexOutOfRange):
         s.straighten((0, 5))
-    with pytest.raises(NotApplicable):
-        s.straighten((0,), strategy="sideways")
 
 
 def test_ctx_rejects_non_prefix_bases():
@@ -144,15 +143,6 @@ def test_ctx_rejects_non_prefix_bases():
     L = abelian_lie(ctx, 2, Matrix(ctx, [[0, 0], [1, 0]]))
     with pytest.raises(NotApplicable):
         StraightenCtx(L)
-
-
-def test_ctx_rejects_bad_preimages():
-    ctx = field(2)
-    L = lineal_lie(ctx)
-    with pytest.raises(NotApplicable):
-        StraightenCtx(L, preimages=[])
-    with pytest.raises(NotApplicable):
-        StraightenCtx(L, preimages=[[1, 0]])
 
 
 # ---------------------------------------------------- oracle: quotient rank
@@ -335,7 +325,7 @@ def test_sandwich_count_matches_the_scan():
             s = StraightenCtx(abelian_lie(ctx, n, d))
             assert s.kk == kk
             for bound in range(6):
-                note = _scan_pbw(s, bound).notes[-1]
+                note = scan_pbw(s, bound).notes[-1]
                 assert note == f"checked {sandwich_count(n, kk, bound)} sandwiched relations at bound {bound}"
 
 
@@ -381,6 +371,21 @@ def test_prove_pbw_on_passing_and_failing_algebras():
     assert not prove_pbw(StraightenCtx(abelian_lie(ctx, 1, Matrix(ctx, [[1]]))))
 
 
+def test_failing_proof_names_its_first_witness():
+    ctx = field(2)
+    # d(e0) = e0: the prefix check comes before any straightening
+    s = StraightenCtx(abelian_lie(ctx, 1, Matrix(ctx, [[1]])))
+    assert [str(f) for f in verify_pbw(s, 4).failures] == ["d_kills_prefix fails at (0): (1,) != (0,)"]
+    with pytest.raises(NotApplicable, match=r"proof holds; d_kills_prefix fails at \(0\)"):
+        confluence_test(s, trials=3, max_len=4, seed=0)
+    # [e0, e0] = e1: R(0,0) straightens to e1, whatever the bound
+    s = StraightenCtx(axiom4_violator(ctx))
+    for bound in (0, 2, 400):
+        rep = verify_pbw(s, bound)
+        assert [str(f) for f in rep.failures] == ["relation_straightens_to_zero fails at ((),0,0,()): (((1,), 1),) != ()"]
+        assert not rep.notes
+
+
 def test_verify_pbw_fails_without_alternating_law():
     ctx = field(2)
     s = StraightenCtx(axiom4_violator(ctx))
@@ -416,9 +421,7 @@ def test_preimage_choice_is_irrelevant():
     L = jordan_lie(ctx)
     base = StraightenCtx(L)
     # shift both preimages by kernel vectors: E21 + I and E22 + E12
-    alt = StraightenCtx(
-        L, preimages=[[1, 0, 1, 0], [0, 1, 0, 1]]
-    )
+    alt = SiteCtx(L, preimages=[[1, 0, 1, 0], [0, 1, 0, 1]])
     for _ in range(80):
         w = tuple(rng.randrange(4) for _ in range(rng.randrange(6)))
         assert base.straighten(w) == alt.straighten(w)
@@ -429,7 +432,7 @@ def test_confluence_from_the_proof_on_long_words():
     rep = confluence_test(s, trials=2, max_len=3000, seed=0)
     assert rep.passed and rep.words_checked == 2
     # nothing was straightened beyond the proof's words of length <= 3
-    assert max(len(w) for memo in s._memos.values() for w in memo) <= 3
+    assert max(map(len, s._memo)) <= 3
 
 
 @pytest.mark.parametrize("trials", [0, 5])

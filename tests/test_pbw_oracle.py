@@ -1,29 +1,30 @@
-"""verify_pbw from relation term lists, against the per-word TElem loop.
+"""verify_pbw and confluence_test against the dense loop, the scan and the fuzz.
 
 ``dense_verify_pbw`` is the loop the library used before relations were
 straightened from precomputed term lists: each sandwiched relation is a
 sum of per-word :class:`TElem` s, straightened by ``straighten_elem``.
 It runs on ``DenseStraightenCtx``, whose rewrite rules are the earlier
-ones that scan dense d-columns and tensor vectors.  Every report must
-print the same: the same failures, witnesses and vectors, in the same
-order, whether :func:`verify_pbw` answers from its proof or its scan.
+ones that scan dense d-columns and tensor vectors.  Where the
+diamond-lemma proof holds, every report must print the same as the dense
+loop, the sandwich scan and the site/preimage fuzz of ``helpers``.
+Where it fails, :func:`verify_pbw` and :func:`confluence_test` must both
+name the witness that ``dense_witness`` finds with the dense rules.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from dalg import Matrix, field
-from dalg.algebra import AxiomReport
+from dalg import Matrix, NotApplicable, field
+from dalg.algebra import AxiomFailure, AxiomReport
 from dalg.lie import LieAlgebra2, abelian_lie, commutator_lie, gl_object, verify_lie
 from dalg.pbw import (
     StraightenCtx,
     TElem,
     _add_into,
-    _fuzz_confluence,
-    _scan_pbw,
     confluence_test,
     ordered_for_straightening,
     prove_pbw,
@@ -31,6 +32,7 @@ from dalg.pbw import (
     verify_pbw,
 )
 
+from helpers import fuzz_confluence, scan_pbw
 from test_pbw import axiom4_violator, jordan_lie
 
 
@@ -64,6 +66,25 @@ class DenseStraightenCtx(StraightenCtx):
         return out
 
 
+def dense_relation(sctx: StraightenCtx, u, i, j, w) -> TElem:
+    """u R(i,j) w as a sum of per-word TElems, from dense columns."""
+    L = sctx.L
+    rel = TElem.from_word(u + (i, j) + w)
+    rel += TElem.from_word(u + (j, i) + w)
+    di = L.dmat.col(i)
+    dj = L.dmat.col(j)
+    dd: dict = {}
+    for a, ca in enumerate(dj):
+        if not ca:
+            continue
+        for b, cb in enumerate(di):
+            if not cb:
+                continue
+            _add_into(dd, u + (a, b) + w, sctx.ctx.mul(ca, cb))
+    rel += TElem(dd)
+    return rel + TElem({u + (m,) + w: c for m, c in enumerate(L.tensor[i][j]) if c})
+
+
 def dense_verify_pbw(sctx: StraightenCtx, bound: int) -> AxiomReport:
     L = sctx.L
     rep = AxiomReport("pbw")
@@ -76,23 +97,7 @@ def dense_verify_pbw(sctx: StraightenCtx, bound: int) -> AxiomReport:
                 continue
             for i in range(n):
                 for j in range(n):
-                    rel = TElem.from_word(u + (i, j) + w)
-                    rel += TElem.from_word(u + (j, i) + w)
-                    di = L.dmat.col(i)
-                    dj = L.dmat.col(j)
-                    dd: dict = {}
-                    for a, ca in enumerate(dj):
-                        if not ca:
-                            continue
-                        for b, cb in enumerate(di):
-                            if not cb:
-                                continue
-                            _add_into(dd, u + (a, b) + w, sctx.ctx.mul(ca, cb))
-                    rel += TElem(dd)
-                    rel += TElem(
-                        {u + (m,) + w: c for m, c in enumerate(L.tensor[i][j]) if c}
-                    )
-                    out = sctx.straighten_elem(rel)
+                    out = sctx.straighten_elem(dense_relation(sctx, u, i, j, w))
                     checked += 1
                     if not out.is_zero():
                         rep.record(
@@ -106,6 +111,31 @@ def dense_verify_pbw(sctx: StraightenCtx, bound: int) -> AxiomReport:
             rep.record("degree_one_standard", (i,), (), ())
     rep.notes.append(f"checked {checked} sandwiched relations at bound {bound}")
     return rep
+
+
+def dense_witness(sctx: StraightenCtx):
+    """The first failing check of the diamond lemma, from dense data.
+
+    A prefix letter with d(e_i) != 0, then the relations R(i,j), then the
+    overlaps xyz of two left-hand sides, in lexicographic order; None when
+    every check holds.
+    """
+    L, kk = sctx.L, sctx.kk
+    for i in range(kk):
+        if any(L.dmat.col(i)):
+            return AxiomFailure("d_kills_prefix", (i,), tuple(L.dmat.col(i)), (0,) * L.n)
+    for i, j in itertools.product(range(L.n), repeat=2):
+        out = sctx.straighten_elem(dense_relation(sctx, (), i, j, ()))
+        if not out.is_zero():
+            return AxiomFailure("relation_straightens_to_zero", ((), i, j, ()), tuple(sorted(out.terms.items())), ())
+    for w in itertools.product(range(L.n), repeat=3):
+        if all(a > b or a == b < kk for a, b in zip(w, w[1:])):
+            left, right = (sctx.straighten_elem(TElem(sctx._one_step(w, p))) for p in (0, 1))
+            if left != right:
+                return AxiomFailure(
+                    "overlap_resolves", w, tuple(sorted(left.terms.items())), tuple(sorted(right.terms.items()))
+                )
+    return None
 
 
 # -- inputs ---------------------------------------------------------------------
@@ -159,19 +189,22 @@ INPUTS = [
 def test_verify_pbw_matches_dense_loop(k):
     ctx = field(k)
     rng = random.Random(400 + k)
-    failing = passing = 0
+    proved = refuted = 0
     for build, bounds in INPUTS:
         for v in variants(build(ctx), rng):
             sctx, _ = ordered_for_straightening(v)
             dense = DenseStraightenCtx(sctx.L)
+            ok = prove_pbw(sctx)
             for bound in bounds:
                 got, want = verify_pbw(sctx, bound), dense_verify_pbw(dense, bound)
-                assert str(got) == str(want) and got.notes == want.notes
-                if got.passed:
-                    passing += 1
+                if ok:
+                    assert str(got) == str(want) and got.notes == want.notes
                 else:
-                    failing += 1
-    assert failing > 5 and passing > 5
+                    assert got.failures == [dense_witness(dense)] and not got.notes
+                assert want.passed or not got.passed
+                proved += ok
+                refuted += not ok
+    assert proved > 5 and refuted > 5
 
 
 # -- the diamond-lemma proof against the scan and the fuzz, exhaustively ---------
@@ -196,15 +229,22 @@ def test_proof_reports_match_scan_and_fuzz_on_every_gf2_plane():
     proved = refuted = 0
     for bits, L in every_gf2_plane():
         sctx, _ = ordered_for_straightening(L)
+        witness = dense_witness(DenseStraightenCtx(sctx.L))
         ok = prove_pbw(sctx)
-        for bound in (2, 3, 4):
-            got, want = verify_pbw(sctx, bound), _scan_pbw(sctx, bound)
-            assert str(got) == str(want) and got.notes == want.notes
-            assert want.passed or not ok
-        got = confluence_test(sctx, trials=12, max_len=5, seed=bits)
-        want = _fuzz_confluence(sctx, trials=12, max_len=5, seed=bits)
-        assert got == want
-        assert want.passed or not ok
+        assert ok == (witness is None)
+        if ok:
+            for bound in (2, 3, 4):
+                got, want = verify_pbw(sctx, bound), scan_pbw(sctx, bound)
+                assert want.passed and str(got) == str(want) and got.notes == want.notes
+            got = confluence_test(sctx, trials=12, max_len=5, seed=bits)
+            assert got.passed and got == fuzz_confluence(sctx, trials=12, max_len=5, seed=bits)
+        else:
+            assert verify_pbw(sctx, 3).failures == [witness]
+            with pytest.raises(NotApplicable, match="diamond-lemma proof holds") as refusal:
+                confluence_test(sctx, trials=12, max_len=5, seed=bits)
+            assert str(refusal.value).endswith(str(witness))
+            # a refuted overlap is a relation combination that survives at degree 3
+            assert not scan_pbw(sctx, 3).passed
         if verify_lie(L).passed:
             # the PBW theorem: every twisted Lie algebra passes
             assert ok
