@@ -47,9 +47,12 @@ the full scan on any failure.
 the tensor and d must not change after construction, so neither goes
 stale.  Callers share the report and must not mutate it.
 :func:`verify_morphism` starts no ``verify``: it reads J only when both
-endpoints already hold a passing report.  :func:`embed_algebra` passes a
-passing report on (an injective ring map preserves the laws), and
-:func:`dalg.dim7.make_D` gives each member the report of its family proof.
+endpoints already hold a passing report.  Passing reports are passed on
+by :func:`embed_algebra` (an injective ring map keeps every law),
+:func:`dalg.dim7.make_D` (the family proof), :func:`subalgebra` (a span
+closed under products and d keeps the multilinear laws; the unit laws
+and d(1) = 0 are checked) and :func:`direct_product_many` (every law
+holds blockwise, and products and d across factors vanish).
 
 In an algebra that satisfies the axioms the same span is the
 d-subalgebra J generates: it holds every word in the e_g and d(e_g),
@@ -635,23 +638,20 @@ def homology(a: DAlgebra) -> tuple[DAlgebra, Matrix]:
     return halg, Matrix.from_cols(a.ctx, proj_cols, h)
 
 
-def change_basis(a: AssocAlgebra2, new_basis: Sequence[Sequence[Fe]], unit: Sequence[Fe] | None = None):
+def change_basis(a: AssocAlgebra2, new_basis: Sequence[Sequence[Fe]]):
     """Rewrite a on the given basis (rows as ambient coordinate vectors).
 
-    Returns (B, phi) with phi the isomorphism from B back to a.  ``unit``
-    overrides a.unit_vec() for callers whose tensor is assembled by hand.
+    Returns (B, phi) with phi the isomorphism from B back to a.
     """
     if len(new_basis) != a.n:
         raise DimensionMismatch("change of basis needs exactly n vectors")
     solver = CoordSolver(a.ctx, new_basis)
     tensor, dcols = a.transport(new_basis, solver.coords)
-    unit_coords = solver.coords(list(unit) if unit is not None else a.unit_vec())
-    unit_idx = _standard_index(unit_coords)
+    unit_idx = _standard_index(solver.coords(a.unit_vec()))
     if unit_idx is None:
         raise NotApplicable("unit is not a basis vector in the proposed basis")
     out = type(a)(a.ctx, tensor, Matrix.from_cols(a.ctx, dcols), unit_idx)
-    phi = Morphism(out, a, Matrix.from_cols(a.ctx, [list(v) for v in new_basis]))
-    return out, phi
+    return out, Morphism(out, a, Matrix.from_cols(a.ctx, [list(v) for v in new_basis]))
 
 
 def _standard_index(v: Sequence[Fe]) -> int | None:
@@ -664,19 +664,22 @@ def _standard_index(v: Sequence[Fe]) -> int | None:
 def subalgebra(a: AssocAlgebra2, vectors: Sequence[Sequence[Fe]], unit: Sequence[Fe] | None = None):
     """Algebra structure on the span of vectors (must contain 1, be closed).
 
-    Returns (S, incl) with the unit of S at index 0.  ``unit`` defaults to
-    the unit of a; passing an idempotent e builds the corner algebra on a
-    span of the form e*a (e must act as identity on the span).  Raises
-    :class:`NotApplicable` when the span misses the unit or fails closure
-    under multiplication or d.
+    Returns (S, incl) with S's unit at index 0; ``unit`` (default a's) may
+    be an idempotent e, for the corner algebra on a span e*a.  Raises
+    :class:`NotApplicable` when the span misses the unit, else when it is
+    not closed under multiplication, else under d, else when row and
+    column 0 of S's tensor show the unit fails to act as identity.  S holds
+    a's passing report if a holds one, S has a's class and d(unit) = 0.
     """
+    return _subalgebra(a, vectors, unit)[:2]
+
+
+def _subalgebra(a: AssocAlgebra2, vectors, unit) -> tuple:
+    """:func:`subalgebra`'s (S, incl), then the coordinate map onto S's basis."""
     span = Subspace(a.ctx, a.n, vectors)
     unit = list(unit) if unit is not None else a.unit_vec()
     if not span.contains(unit):
         raise NotApplicable("subalgebra span does not contain the unit")
-    for r in span.rows:
-        if a.mul(unit, r) != list(r) or a.mul(r, unit) != list(r):
-            raise NotApplicable("proposed unit does not act as identity on the span")
     basis = [unit] + extend_basis(Subspace(a.ctx, a.n, [unit]), span.rows)
     solver = CoordSolver(a.ctx, basis)
     # transport reads every product, then every d column
@@ -690,10 +693,13 @@ def subalgebra(a: AssocAlgebra2, vectors: Sequence[Sequence[Fe]], unit: Sequence
             raise NotApplicable(f"span not closed under {law}") from None
 
     tensor, dcols = a.transport(basis, coords)
+    if any(_standard_index(t[0]) != i or t[0] != tensor[0][i] for i, t in enumerate(tensor)):
+        raise NotApplicable("proposed unit does not act as identity on the span")
     cls = type(a) if isinstance(a, DAlgebra) else AssocAlgebra2
     sub = cls(a.ctx, tensor, Matrix.from_cols(a.ctx, dcols), 0)
-    incl = Morphism(sub, a, Matrix.from_cols(a.ctx, basis))
-    return sub, incl
+    if _passed(a) and cls is type(a) and not any(dcols[0]):
+        sub._report = a._report
+    return sub, Morphism(sub, a, Matrix.from_cols(a.ctx, basis)), solver.coords
 
 
 def is_d_ideal(a: AssocAlgebra2, space: Subspace) -> bool:
@@ -740,45 +746,43 @@ def quotient(a: DAlgebra, ideal_space: Subspace):
 
 
 def direct_product_many(algs: Sequence[DAlgebra]):
-    """Componentwise product of several algebras, rebased so 1 is index 0.
-
-    The unit is the sum of the factor units, which is not a standard basis
-    vector in block coordinates, hence the rebase.  Returns (P, projs) with
-    one projection morphism per factor.
-    """
+    """Componentwise product on the basis 1 (the sum of the factor units
+    u_g), the first factor's basis without u_0, then the others' bases, as
+    placed by :func:`_product_coords`.  Returns (P, projs), one projection
+    per factor; P holds a passing report when each factor holds one of P's kind."""
     if not algs:
         raise NotApplicable("product of no factors")
     ctx = algs[0].ctx
-    for f in algs[1:]:
-        if f.ctx is not ctx:
-            raise DimensionMismatch("product factors live over different fields")
-    n = sum(f.n for f in algs)
-    offs = []
-    o = 0
-    for f in algs:
-        offs.append(o)
-        o += f.n
-    tensor = [[[0] * n for _ in range(n)] for _ in range(n)]
-    drows = [[0] * n for _ in range(n)]
-    for f, off in zip(algs, offs):
-        for i in range(f.n):
-            for j in range(f.n):
-                tensor[off + i][off + j][off : off + f.n] = f.tensor[i][j]
-                drows[off + i][off + j] = f.dmat.rows[i][j]
-    blockwise = type(algs[0])(ctx, tensor, Matrix(ctx, drows, n), offs[0] + algs[0].unit_idx)
-    ua = [0] * n
-    for f, off in zip(algs, offs):
-        ua[off + f.unit_idx] = 1
-    basis = [ua]
-    for idx, (f, off) in enumerate(zip(algs, offs)):
-        skip = f.unit_idx if idx == 0 else -1
-        basis += [blockwise.basis_vec(off + i) for i in range(f.n) if i != skip]
-    prod, phi = change_basis(blockwise, basis, unit=ua)
-    projs = []
-    for f, off in zip(algs, offs):
-        block = Matrix(ctx, [[1 if off + i == j else 0 for j in range(n)] for i in range(f.n)], n)
-        projs.append(Morphism(prod, f, block.mul(phi.mat)))
-    return prod, projs
+    if any(f.ctx is not ctx for f in algs):
+        raise DimensionMismatch("product factors live over different fields")
+    # the (factor, index) pairs summing to each basis vector of P
+    parts = [[(g, f.unit_idx) for g, f in enumerate(algs)]]
+    parts += [[(g, i)] for g, f in enumerate(algs) for i in range(f.n) if g or i != algs[0].unit_idx]
+    tensor = [
+        [_product_coords(algs, ((g, algs[g].tensor[i][j]) for g, i in p for h, j in q if g == h))
+         for q in parts]
+        for p in parts
+    ]
+    dcols = [_product_coords(algs, ((g, algs[g].dmat.col(i)) for g, i in p)) for p in parts]
+    prod = type(algs[0])(ctx, tensor, Matrix.from_cols(ctx, dcols), 0)
+    if all(_passed(f) and f.kind == prod.kind for f in algs):
+        prod._report = algs[0]._report
+    sel = [[[int((g, i) in p) for i in range(f.n)] for p in parts] for g, f in enumerate(algs)]
+    return prod, [Morphism(prod, f, Matrix.from_cols(ctx, cols)) for f, cols in zip(algs, sel)]
+
+
+def _product_coords(algs: Sequence[AssocAlgebra2], pieces) -> Vec:
+    """Coordinates in :func:`direct_product_many`'s basis of the sum of v
+    in factor g over the (g, v) in pieces.  u_0 = 1 + the other u_g, so a
+    u_0-coordinate c goes to index 0 and is added at each other u_g."""
+    blocks = [[0] * f.n for f in algs]
+    for g, v in pieces:
+        blocks[g] = vec_xor(blocks[g], v)
+    u0 = algs[0].unit_idx
+    out = [blocks[0][u0]] + [x for i, x in enumerate(blocks[0]) if i != u0]
+    for f, v in zip(algs[1:], blocks[1:]):
+        out += [x ^ out[0] if i == f.unit_idx else x for i, x in enumerate(v)]
+    return out
 
 
 def direct_product(a: DAlgebra, b: DAlgebra):
@@ -788,11 +792,8 @@ def direct_product(a: DAlgebra, b: DAlgebra):
 
 
 def embed_algebra(a: AssocAlgebra2, big_ctx: FieldCtx, embed) -> AssocAlgebra2:
-    """Same structure constants pushed through a field embedding.
-
-    A passing memoised report of a is passed on: the embedding is an
-    injective ring map, so every law still holds.
-    """
+    """Same structure constants pushed through a field embedding, holding
+    a's passing report when a holds one; see the module docstring."""
     tensor = [[[embed(x) for x in v] for v in row] for row in a.tensor]
     drows = [[embed(x) for x in r] for r in a.dmat.rows]
     out = type(a)(big_ctx, tensor, Matrix(big_ctx, drows, a.n), a.unit_idx)

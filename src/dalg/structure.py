@@ -19,9 +19,12 @@ from .algebra import (
     AssocAlgebra2,
     DAlgebra,
     Morphism,
+    _contract,
+    _nonzero,
+    _product_coords,
+    _subalgebra,
     defect,
     direct_product_many,
-    subalgebra,
     verify_morphism,
 )
 from .errors import (
@@ -296,26 +299,26 @@ class Decomposition:
 
 
 def decompose(a: DAlgebra) -> Decomposition:
-    """Split along the primitive idempotents of Ker(d) into local factors.
-
-    Verifies the factor count against the defect, defect additivity, the
-    locality of every factor and the product isomorphism.
+    """Split along the primitive idempotents of Ker(d) into local factors,
+    the corners e a, with the isomorphism onto their product placed in
+    closed form.  Verifies, in order, that isomorphism (multiplicativity on
+    the rows in J = ``a.generators()`` when a passes, as its factors and
+    their product then do), the factor count against the defect, defect
+    additivity and the locality of every factor.
     """
     ctx = a.ctx
     idems = [c.idempotent for c in characters(a)]
-    factors = []
-    fprojs = []
+    cols = a._columns()
+    factors, fprojs = [], []
     for e in idems:
-        rows = [a.mul(e, a.basis_vec(j)) for j in range(a.n)]
-        f, fincl = subalgebra(a, rows, unit=e)
-        fsolver = CoordSolver(ctx, [fincl.mat.col(t) for t in range(f.n)])
-        cols = [fsolver.coords(r) for r in rows]
+        eterms = _nonzero(e)
+        rows = [_contract(ctx, [0] * a.n, eterms, col) for col in cols]
+        f, _, coords = _subalgebra(a, rows, e)
         factors.append(f)
-        fprojs.append(Morphism(a, f, Matrix.from_cols(ctx, cols)))
-    prod, pprojs = direct_product_many(factors)
-    stack_p = Matrix(ctx, [row for m in pprojs for row in m.mat.rows], prod.n)
-    stack_f = Matrix(ctx, [row for m in fprojs for row in m.mat.rows], a.n)
-    iso = Morphism(a, prod, stack_p.inverse().mul(stack_f))
+        fprojs.append(Morphism(a, f, Matrix.from_cols(ctx, [coords(r) for r in rows])))
+    prod, _ = direct_product_many(factors)
+    iso_cols = [_product_coords(factors, enumerate(m.mat.col(j) for m in fprojs)) for j in range(a.n)]
+    iso = Morphism(a, prod, Matrix.from_cols(ctx, iso_cols))
     rep = verify_morphism(iso, require_iso=True)
     if not rep.passed:
         raise TheoremViolation(f"product splitting fails to verify: {rep.failures[:1]}")

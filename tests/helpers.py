@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from dalg import DAlgebra, Matrix, Subspace, field
+from dalg import CoordSolver, DAlgebra, Matrix, Morphism, Subspace, field
 from dalg.algebra import AxiomReport, _nonzero
 from dalg.gf2k import FieldCtx
 from dalg.pbw import ConfluenceReport, StraightenCtx, TElem, _add_into, _relations, standard_words
@@ -167,7 +167,58 @@ def dense_rebase(a: DAlgebra, rng) -> DAlgebra:
     while True:
         rows = [a.unit_vec()] + [a.rand_vec(rng) for _ in range(a.n - 1)]
         if Subspace(a.ctx, a.n, rows).dim == a.n:
-            return change_basis(a, rows, unit=a.unit_vec())[0]
+            return change_basis(a, rows)[0]
+
+
+def rebuilt(a: DAlgebra) -> DAlgebra:
+    """A copy of a built from its tensor and d alone, holding no report, so
+    that its ``verify`` scans every law instead of reading one passed on."""
+    return type(a)(a.ctx, a.tensor, a.dmat, a.unit_idx)
+
+
+def unit_moved(a: DAlgebra, idx: int) -> DAlgebra:
+    """a on its standard basis reordered so that the unit sits at index idx."""
+    from dalg import change_basis
+
+    order = [i for i in range(a.n) if i != a.unit_idx]
+    order.insert(idx, a.unit_idx)
+    return change_basis(a, [a.basis_vec(i) for i in order])[0]
+
+
+def blockwise_product(algs) -> tuple:
+    """(P, projs) as the product was built before its closed form: the
+    blockwise tensor and d, rebased by a coordinate solve onto 1 (the sum
+    of the factor units), then the first factor's basis without its unit,
+    then the other factors' bases; each projection is a block selection
+    times the change of basis."""
+    ctx = algs[0].ctx
+    n = sum(f.n for f in algs)
+    offs = [sum(f.n for f in algs[:g]) for g in range(len(algs))]
+    tensor = [[[0] * n for _ in range(n)] for _ in range(n)]
+    drows = [[0] * n for _ in range(n)]
+    for f, off in zip(algs, offs):
+        for i in range(f.n):
+            for j in range(f.n):
+                tensor[off + i][off + j][off : off + f.n] = f.tensor[i][j]
+                drows[off + i][off + j] = f.dmat.rows[i][j]
+    blockwise = type(algs[0])(ctx, tensor, Matrix(ctx, drows, n), offs[0] + algs[0].unit_idx)
+    ua = [0] * n
+    for f, off in zip(algs, offs):
+        ua[off + f.unit_idx] = 1
+    basis = [ua]
+    for g, (f, off) in enumerate(zip(algs, offs)):
+        basis += [blockwise.basis_vec(off + i) for i in range(f.n) if g or i != f.unit_idx]
+    solver = CoordSolver(ctx, basis)
+    ptensor, dcols = blockwise.transport(basis, solver.coords)
+    unit = _nonzero(solver.coords(ua))
+    assert len(unit) == 1 and unit[0][1] == 1
+    prod = type(algs[0])(ctx, ptensor, Matrix.from_cols(ctx, dcols), unit[0][0])
+    phi = Matrix.from_cols(ctx, basis)
+    projs = []
+    for f, off in zip(algs, offs):
+        block = Matrix(ctx, [[1 if off + i == j else 0 for j in range(n)] for i in range(f.n)], n)
+        projs.append(Morphism(prod, f, block.mul(phi)))
+    return prod, projs
 
 
 def square_corrupted(a: DAlgebra, i: int, m: int, c: int) -> DAlgebra:

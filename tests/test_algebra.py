@@ -33,7 +33,7 @@ from dalg import (
 )
 
 from dalg.formats import dumps, loads
-from helpers import field_as_algebra, random_dim7, tiny_d_algebra, truncated_poly_algebra
+from helpers import field_as_algebra, random_dim7, rebuilt, tiny_d_algebra, truncated_poly_algebra
 from test_contraction import dense_verify
 
 
@@ -173,7 +173,7 @@ def test_direct_product_verifies_and_adds_defect():
     b = truncated_poly_algebra(ctx, 2)
     prod, pa, pb = direct_product(a, b)
     assert prod.n == 5 and prod.unit_idx == 0
-    assert prod.verify().passed
+    assert rebuilt(prod).verify().passed
     assert defect(prod) == defect(a) + defect(b)
     assert verify_morphism(pa).passed
     assert verify_morphism(pb).passed
@@ -203,7 +203,7 @@ def test_subalgebra_kernel():
     ker = alg.ker_d()
     sub, incl = subalgebra(alg, ker.rows)
     assert sub.n == 2 and sub.unit_idx == 0
-    assert sub.verify().passed
+    assert rebuilt(sub).verify().passed
     assert verify_morphism(incl).passed
     with pytest.raises(NotApplicable):
         subalgebra(alg, [[0, 1, 0]])  # misses the unit

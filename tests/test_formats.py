@@ -85,7 +85,7 @@ def random_valid_algebra(rng):
         rows = [base.unit_vec()] + [base.rand_vec(rng) for _ in range(n - 1)]
         if Subspace(ctx, n, rows).dim == n:
             break
-    moved, _ = change_basis(base, rows, unit=base.unit_vec())
+    moved, _ = change_basis(base, rows)
     return moved
 
 

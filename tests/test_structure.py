@@ -171,7 +171,7 @@ def _product_cases(k, seed):
             rows = [sparse.unit_vec()] + [sparse.rand_vec(r) for _ in range(sparse.n - 1)]
             if Subspace(ctx, sparse.n, rows).dim == sparse.n:
                 break
-        dense, _ = change_basis(sparse, rows, unit=sparse.unit_vec())
+        dense, _ = change_basis(sparse, rows)
         yield dense
 
 
@@ -407,7 +407,7 @@ def nonsplit_cases():
                     rows = [a.unit_vec()] + [a.rand_vec(r) for _ in range(a.n - 1)]
                     if Subspace(ctx, a.n, rows).dim == a.n:
                         break
-                yield change_basis(a, rows, unit=a.unit_vec())[0]
+                yield change_basis(a, rows)[0]
     yield conjugate_values_case()
 
 
@@ -427,7 +427,7 @@ def conjugate_values_case():
     for i in range(p.n):
         if Subspace(ctx, p.n, rows + [p.basis_vec(i)]).dim > len(rows):
             rows.append(p.basis_vec(i))
-    return change_basis(p, rows, unit=p.unit_vec())[0]
+    return change_basis(p, rows)[0]
 
 
 def _pairs(chars):
