@@ -45,8 +45,6 @@ from .linalg import (
     min_poly,
     solve,
     subspace_intersect,
-    subspace_quotient_reps,
-    subspace_sum,
 )
 from .unipoly import UniPoly, poly_gcd, poly_roots, squarefree_part
 from .algebra import (

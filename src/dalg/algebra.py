@@ -30,7 +30,10 @@ first, then the rest, each in basis order, and e_j joins J when it lies
 outside the span of 1 and the chosen e_g closed under d and under left
 multiplication by those e_g (:meth:`AssocAlgebra2.closure`).  That span
 ends as A; once every e_j with j in J lies in N, so does A.  Nothing is
-sampled.
+sampled.  The span is one :class:`~dalg.linalg.Subspace`: each image is
+added as it is computed and only the rows the span accepts are mapped
+again, and when e_j joins J, left multiplication by e_j is applied to the
+span so far and every map to e_j, so nothing is eliminated twice.
 
 The twisted law and morphisms are scanned on J too.  Once the unit,
 associativity and derivation laws hold, Z = {x : x y = y x + d(y) d(x)
@@ -93,14 +96,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .gf2k import Fe, FieldCtx
-from .linalg import (
-    CoordSolver,
-    Matrix,
-    Subspace,
-    Vec,
-    extend_basis,
-    nullspace_rows,
-)
+from .linalg import CoordSolver, Matrix, Subspace, Vec, nullspace_rows
 
 Tensor = list  # tensor[i][j] is the coordinate vector of e_i * e_j
 
@@ -354,21 +350,26 @@ class AssocAlgebra2(StructureConstants):
         in ``left``, map into itself.
 
         Both maps read term lists: d(u) = sum_a u_a d(e_a) and g u =
-        sum_a u_a (g e_a).  Each round applies them to the part of the span
-        the last round added only.
+        sum_a u_a (g e_a).
         """
         n, ctx = self.n, self.ctx
         cols = self._columns()
         maps = [self._d_terms()] + [
             [_nonzero(_contract(ctx, [0] * n, _nonzero(g), col)) for col in cols] for g in left
         ]
-        span = Subspace(ctx, n, vectors)
-        new = span.rows
+        span = Subspace(ctx, n)
+        self._grow(span, vectors, maps)
+        return span
+
+    def _grow(self, span: Subspace, vectors, maps) -> None:
+        """Add vectors to span, then the image under each map of every row
+        it accepts, until it accepts none; the accepted rows span what was
+        added, so mapping each once closes the span."""
+        n, ctx = self.n, self.ctx
+        new = [r for r in map(span.add, vectors) if r is not None]
         while new:
             images = [_contract(ctx, [0] * n, u, m) for u in map(_nonzero, new) for m in maps]
-            new = Subspace(ctx, n, [span.reduce(w) for w in images]).rows
-            span = Subspace(ctx, n, span.rows + new)
-        return span
+            new = [r for r in map(span.add, images) if r is not None]
 
     def generators(self) -> list:
         """Indices J of basis vectors that generate A with 1, under d and left
@@ -380,16 +381,20 @@ class AssocAlgebra2(StructureConstants):
         """
         if self._gens is not None:
             return list(self._gens)
-        n = self.n
+        n, ctx = self.n, self.ctx
         gens: list = []
-        span = self.closure([self.unit_vec()], [])
+        maps = [self._d_terms()]
+        span = Subspace(ctx, n)
+        self._grow(span, [self.unit_vec()], maps)
         for j in sorted(range(n), key=lambda j: not any(self.dmat.col(j))):
             if span.dim == n:
                 break
             e = self.basis_vec(j)
             if not span.contains(e):
                 gens.append(j)
-                span = self.closure(span.rows + [e], [self.basis_vec(g) for g in gens])
+                maps.append(self.terms[j])  # u -> e_j u = sum_a u_a (e_j e_a)
+                images = [_contract(ctx, [0] * n, _nonzero(u), self.terms[j]) for u in span.rows]
+                self._grow(span, [e] + images, maps)
         self._gens = gens
         return list(gens)
 
@@ -611,24 +616,22 @@ def homology(a: DAlgebra) -> tuple[DAlgebra, Matrix]:
     attribute ``coset_reps`` (one ambient vector per H basis element, the
     class of 1 first).
     """
-    ker = a.ker_d()
-    im = a.im_d()
+    # one span grows from Im(d): the unit, Ker(d) rows outside it (the
+    # representatives), then standard vectors completing it to all of A,
+    # so the projection is linear everywhere and restricts to the coset
+    # map on Ker(d)
+    span = a.im_d()
+    off = span.dim
     unit = a.unit_vec()
-    if im.contains(unit):
+    if span.add(unit) is None:
         raise NotApplicable("unit is a boundary; homology has no unit")
-    reps = [unit] + extend_basis(
-        Subspace(a.ctx, a.n, im.rows + [unit]), [r[:] for r in ker.rows]
-    )
+    reps = [unit] + [list(r) for r in a.ker_d().rows if span.add(r) is not None]
     h = len(reps)
-    off = im.dim
-    # complete to a basis of all of A so the projection is linear everywhere
-    # and restricts to the coset map on Ker(d)
-    span = Subspace(a.ctx, a.n, im.rows + reps)
-    rest = extend_basis(span, [a.basis_vec(i) for i in range(a.n)])
-    solver = CoordSolver(a.ctx, im.rows + reps + rest)
+    for i in range(a.n):
+        span.add(a.basis_vec(i))
 
     def project(v: Sequence[Fe]) -> Vec:
-        return solver.coords(v)[off : off + h]
+        return span.coords(v)[off : off + h]
 
     # the representatives lie in Ker(d), so the d columns come out zero
     tensor, dcols = a.transport(reps, project)
@@ -680,8 +683,8 @@ def _subalgebra(a: AssocAlgebra2, vectors, unit) -> tuple:
     unit = list(unit) if unit is not None else a.unit_vec()
     if not span.contains(unit):
         raise NotApplicable("subalgebra span does not contain the unit")
-    basis = [unit] + extend_basis(Subspace(a.ctx, a.n, [unit]), span.rows)
-    solver = CoordSolver(a.ctx, basis)
+    solver = Subspace(a.ctx, a.n, [unit])
+    basis = [unit] + [r for r in span.rows if solver.add(r) is not None]
     # transport reads every product, then every d column
     laws = iter(["multiplication"] * len(basis) ** 2 + ["d"] * len(basis))
 
@@ -727,17 +730,15 @@ def quotient(a: DAlgebra, ideal_space: Subspace):
     """
     if not is_d_ideal(a, ideal_space):
         raise NotDIdeal("subspace is not a d-ideal")
+    span = ideal_space.copy()
+    off = span.dim
     unit = a.unit_vec()
-    if ideal_space.contains(unit):
+    if span.add(unit) is None:
         raise NotApplicable("ideal contains 1; the quotient has no unit")
-    reps = extend_basis(
-        ideal_space, [unit] + [a.basis_vec(i) for i in range(a.n)]
-    )
-    solver = CoordSolver(a.ctx, ideal_space.rows + reps)
-    off = ideal_space.dim
+    reps = [unit] + [e for e in map(a.basis_vec, range(a.n)) if span.add(e) is not None]
 
     def project(v: Sequence[Fe]) -> Vec:
-        return solver.coords(v)[off:]
+        return span.coords(v)[off:]
 
     tensor, dcols = a.transport(reps, project)
     q = type(a)(a.ctx, tensor, Matrix.from_cols(a.ctx, dcols), 0)

@@ -229,9 +229,9 @@ def classify7(a: DAlgebra) -> CanonicalForm7:
     w3 = a.mul(v1, w2)
 
     basis = [one, v1, v2, v3, w1, w2, w3]
-    if Subspace(ctx, a.n, basis).dim != 7:
+    solver = Subspace(ctx, a.n, basis)
+    if solver.dim != 7:
         raise TheoremViolation("1, d images and adjusted pair fail to form a basis")
-    solver = CoordSolver(ctx, basis)
 
     def at(u, v, allowed, what):
         return _expect(ctx, solver.coords(a.mul(u, v)), allowed, what)

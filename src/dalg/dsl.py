@@ -128,7 +128,6 @@ class _Parser:
     def generator(self, pa: PAlgebra, tok: _Token) -> PElem:
         kind, idx = _GEN_RE.match(tok.text).groups()
         i = int(idx)
-        line, col = _linecol(self.text, tok.pos)
         try:
             if kind == "x":
                 return pa.x(i)
@@ -136,6 +135,7 @@ class _Parser:
                 return pa.xi(i)
             return pa.y(i)
         except IndexOutOfRange as e:
+            line, col = _linecol(self.text, tok.pos)
             raise IndexOutOfRange(f"{e} (line {line}, column {col})") from None
 
     def factor(self, pa: PAlgebra) -> PElem:

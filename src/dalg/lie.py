@@ -25,7 +25,7 @@ from .algebra import (
 )
 from .errors import BadDifferential, ShapeMismatch, TheoremViolation
 from .gf2k import Fe, FieldCtx
-from .linalg import CoordSolver, Matrix, Vec
+from .linalg import Matrix, Subspace, Vec
 
 __all__ = [
     "LieAlgebra2",
@@ -204,7 +204,7 @@ def gl_object(n: int, dV: Matrix) -> AssocAlgebra2:
             e = Matrix.zeros(ctx, n, n).rows
             e[i][j] = 1
             basis_mats.append(Matrix(ctx, e, n))
-    solver = CoordSolver(ctx, [flat(m) for m in basis_mats])
+    solver = Subspace(ctx, dim, [flat(m) for m in basis_mats])
     tensor = [
         [solver.coords(flat(x.mul(y))) for y in basis_mats] for x in basis_mats
     ]

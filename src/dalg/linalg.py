@@ -6,11 +6,15 @@ deterministic and allocation-happy rather than clever: dimensions in this
 package stay small (tens, not thousands).
 
 Matrices are treated as immutable once constructed; all operations return
-fresh objects.
+fresh objects.  A :class:`Subspace` is the one incremental echelon: it
+grows by :meth:`Subspace.add`, and every span, closure and coordinate map
+in the package is built that way.  No one adds to a Subspace after handing
+it out or comparing it; :func:`extend_basis` grows a copy.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from .errors import Inconsistent, ShapeMismatch
@@ -221,23 +225,63 @@ def solve_lex_least(ctx: FieldCtx, mat: Matrix, b: Sequence[Fe]) -> Vec:
 
 
 class Subspace:
-    """Row space of a set of vectors, held in canonical RREF.
+    """Row space of a set of vectors, held in canonical RREF and grown by
+    :meth:`add`.
 
-    Canonical form makes equality a straight comparison of rows and lets
-    membership run by elimination against the pivot rows.
+    ``rows`` and ``pivots`` are the reduced row echelon form of everything
+    added so far, so equality is a straight comparison of rows and
+    membership runs by elimination against the pivot rows.  The accepted
+    vectors (those :meth:`add` did not find in the span) are kept in the
+    order they came, and :meth:`coords` reads coordinates on them.
     """
 
-    __slots__ = ("ctx", "ambient", "rows", "pivots")
+    __slots__ = ("ctx", "ambient", "rows", "pivots", "_accepted", "_coord_rows")
 
     def __init__(self, ctx: FieldCtx, ambient: int, vectors: Iterable[Sequence[Fe]] = ()):
-        red, pivots = rref_rows(ctx, [list(v) for v in vectors])
         self.ctx = ctx
         self.ambient = ambient
-        self.rows = [r for r in red[: len(pivots)]]
-        self.pivots = pivots
-        for r in self.rows:
-            if len(r) != ambient:
-                raise ShapeMismatch("vector length differs from ambient dimension")
+        self.rows: list[Vec] = []
+        self.pivots: tuple[int, ...] = ()
+        self._accepted: list[Vec] = []
+        self._coord_rows: list[Vec] | None = None
+        for v in vectors:
+            self.add(v)
+
+    def add(self, v: Sequence[Fe]) -> Vec | None:
+        """Put v in the span; returns its normalised residual, the new
+        pivot row as it was inserted, or None when v already lies in the
+        span.  Rows are replaced, never edited, so a returned row keeps its
+        entries while the span grows."""
+        if len(v) != self.ambient:
+            raise ShapeMismatch("vector length differs from ambient dimension")
+        r = self.reduce(v)
+        for p, x in enumerate(r):
+            if x:
+                break
+        else:
+            return None
+        mul = self.ctx.mul
+        if r[p] != 1:
+            f = self.ctx.inv(r[p])
+            r = [mul(f, x) if x else 0 for x in r]
+        rows = self.rows
+        for i, row in enumerate(rows):
+            f = row[p]
+            if f:
+                rows[i] = [x ^ mul(f, y) if y else x for x, y in zip(row, r)]
+        at = bisect_left(self.pivots, p)
+        rows.insert(at, r)
+        self.pivots = self.pivots[:at] + (p,) + self.pivots[at:]
+        self._accepted.append(list(v))
+        self._coord_rows = None
+        return r
+
+    def copy(self) -> "Subspace":
+        out = Subspace(self.ctx, self.ambient)
+        out.rows = list(self.rows)
+        out.pivots = self.pivots
+        out._accepted = list(self._accepted)
+        return out
 
     @property
     def dim(self) -> int:
@@ -270,142 +314,87 @@ class Subspace:
     def contains(self, v: Sequence[Fe]) -> bool:
         return not any(self.reduce(v))
 
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
-
     def is_zero(self) -> bool:
         return not self.rows
 
+    def coords(self, v: Sequence[Fe]) -> Vec:
+        """c with v = sum c_j a_j over the accepted vectors a_j, in the order
+        they were accepted; raises :class:`Inconsistent` for v outside.
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ctx is not b.ctx or a.ambient != b.ambient:
-        raise ShapeMismatch("subspace sum needs a common ambient space")
-    return Subspace(a.ctx, a.ambient, a.rows + b.rows)
+        v's entries at the pivots are its coordinates on the RREF rows, and
+        v lies in the span when those coordinates give v back.  With P[j][i]
+        the entry of a_j at pivot i, a_j = sum_i P[j][i] row_i, so c is
+        those entries times the inverse of P.  Each RREF row is joined with
+        its row of the inverse, once per state of the span, so one pass
+        gives both the check and c."""
+        n = self.ambient
+        if self._coord_rows is None:
+            m = self.dim
+            pick = [[a[p] for p in self.pivots] + [int(i == j) for j in range(m)]
+                    for i, a in enumerate(self._accepted)]
+            inverse = Subspace(self.ctx, 2 * m, pick).rows
+            self._coord_rows = [r + t[m:] for r, t in zip(self.rows, inverse)]
+        mul = self.ctx.mul
+        out = [0] * (n + self.dim)
+        for p, row in zip(self.pivots, self._coord_rows):
+            f = v[p]
+            if f:
+                out = [x ^ mul(f, y) if y else x for x, y in zip(out, row)]
+        # a CoordSolver of no vectors has ambient 0; v's entries past it must vanish
+        if out[:n] != list(v[:n]) or any(v[n:]):
+            raise Inconsistent("vector outside the span of the basis")
+        return out[n:]
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Zassenhaus: rows [u|u] for u in a and [w|0] for w in b; the rows of
-    the echelon form whose left half is zero carry the intersection in the
-    right half."""
+    the echelon form whose left half is zero (pivot at n or beyond) carry
+    the intersection in the right half."""
     if a.ctx is not b.ctx or a.ambient != b.ambient:
         raise ShapeMismatch("subspace intersection needs a common ambient space")
     n = a.ambient
-    block = [r + r for r in a.rows] + [r + [0] * n for r in b.rows]
-    red, pivots = rref_rows(a.ctx, block)
-    out = []
-    for row in red:
-        left, right = row[:n], row[n:]
-        if any(left):
-            continue
-        if any(right):
-            out.append(right)
-    return Subspace(a.ctx, n, out)
-
-
-def subspace_quotient_reps(sub: Subspace, within: Subspace | None = None) -> list[Vec]:
-    """Vectors completing ``sub`` to a basis of ``within`` (default: ambient).
-
-    The returned vectors are coset representatives for the quotient; they
-    are chosen greedily from the basis of ``within`` in order, so the
-    result is deterministic.
-    """
-    n = sub.ambient
-    if within is None:
-        candidates = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    else:
-        if not within.contains_space(sub):
-            raise ShapeMismatch("quotient needs sub contained in within")
-        candidates = [r[:] for r in within.rows]
-    return extend_basis(sub, candidates)
+    both = Subspace(a.ctx, 2 * n, [r + r for r in a.rows] + [r + [0] * n for r in b.rows])
+    return Subspace(a.ctx, n, [r[n:] for r, p in zip(both.rows, both.pivots) if p >= n])
 
 
 def extend_basis(sub: Subspace, candidates: Iterable[Sequence[Fe]]) -> list[Vec]:
-    """Subset of candidates that extends sub to span(sub + candidates)."""
-    span = Subspace(sub.ctx, sub.ambient, sub.rows)
-    added = []
-    for v in candidates:
-        if not span.contains(v):
-            added.append(list(v))
-            span = Subspace(span.ctx, span.ambient, span.rows + [list(v)])
-    return added
+    """The candidates that a copy of sub accepts, in order: they extend sub
+    to span(sub + candidates).  sub itself is left as it was."""
+    span = sub.copy()
+    return [list(v) for v in candidates if span.add(v) is not None]
 
 
-class CoordSolver:
-    """Repeated coordinate extraction against a fixed independent family.
+class CoordSolver(Subspace):
+    """A :class:`Subspace` of vectors b_0..b_{m-1} that must be independent;
+    ``coords(v)`` are the c with v = sum c_i b_i."""
 
-    Given independent vectors b_0..b_{m-1}, ``coords(v)`` returns c with
-    v = sum c_i b_i, raising :class:`Inconsistent` for v outside the span.
-    """
-
-    __slots__ = ("ctx", "n", "m", "_red", "_pivots", "_transform")
+    __slots__ = ()
 
     def __init__(self, ctx: FieldCtx, basis: Sequence[Sequence[Fe]]):
-        self.ctx = ctx
-        self.m = len(basis)
-        self.n = len(basis[0]) if basis else 0
-        # carry an identity tag along the elimination: red = transform @ basis
-        aug = [list(v) + [1 if i == j else 0 for j in range(self.m)] for i, v in enumerate(basis)]
-        red, pivots = rref_rows(ctx, aug)
-        if len(pivots) != self.m or any(p >= self.n for p in pivots):
+        super().__init__(ctx, len(basis[0]) if basis else 0, basis)
+        if self.dim != len(basis):
             raise Inconsistent("basis vectors are dependent")
-        self._red = [r[: self.n] for r in red[: self.m]]
-        self._transform = [r[self.n :] for r in red[: self.m]]
-        self._pivots = pivots
 
-    def coords(self, v: Sequence[Fe]) -> Vec:
-        mul = self.ctx.mul
-        out = list(v)
-        cs = [0] * self.m
-        for i, (row, p) in enumerate(zip(self._red, self._pivots)):
-            f = out[p]
-            if f:
-                out = [x ^ mul(f, y) if y else x for x, y in zip(out, row)]
-                cs[i] = f
-        if any(out):
-            raise Inconsistent("vector outside the span of the basis")
-        # cs are coordinates against the reduced rows; map back through the
-        # recorded transform (red = T @ basis implies coords = cs @ T)
-        res = [0] * self.m
-        for i, c in enumerate(cs):
-            if c:
-                ti = self._transform[i]
-                for j in range(self.m):
-                    if ti[j]:
-                        res[j] ^= mul(c, ti[j])
-        return res
+    # perfbench/tracer.py times coords by this class's name, so the class
+    # stays until the tracer reads its targets from the library, which
+    # deletes it (ROADMAP item 1)
+    coords = Subspace.coords
 
 
 def min_poly(mat: Matrix) -> UniPoly:
     """Minimal polynomial of a square matrix.
 
-    Flattened powers I, A, A^2, ... are fed into an incremental
-    elimination that tracks the expressing combination; the first linear
-    dependence gives the (monic) minimal polynomial.
+    Flattened powers I, A, A^2, ... are added to one :class:`Subspace`
+    until one lies in the span of the earlier ones; its coordinates on
+    them give the (monic) minimal polynomial.
     """
     if mat.nrows != mat.ncols:
         raise ShapeMismatch("minimal polynomial needs a square matrix")
     ctx = mat.ctx
-    n = mat.nrows
-    mul = ctx.mul
-    reduced: list[tuple[Vec, Vec, int]] = []  # (vector, combo, pivot)
-    power = Matrix.identity(ctx, n)
-    for j in range(n * n + 2):
+    span = Subspace(ctx, mat.nrows * mat.ncols)
+    power = Matrix.identity(ctx, mat.nrows)
+    while True:
         flat = [x for r in power.rows for x in r]
-        combo = [0] * (j + 1)
-        combo[j] = 1
-        for vec, cmb, p in reduced:
-            f = flat[p]
-            if f:
-                flat = [x ^ mul(f, y) if y else x for x, y in zip(flat, vec)]
-                for i, c in enumerate(cmb):
-                    if c:
-                        combo[i] ^= mul(f, c)
-        p = next((i for i, x in enumerate(flat) if x), None)
-        if p is None:
-            return UniPoly(ctx, combo).monic()
-        f = ctx.inv(flat[p])
-        flat = [mul(f, x) if x else 0 for x in flat]
-        combo = [mul(f, c) if c else 0 for c in combo]
-        reduced.append((flat, combo, p))
+        if span.add(flat) is None:
+            return UniPoly(ctx, span.coords(flat) + [1])
         power = power.mul(mat)
-    raise AssertionError("powers of an n x n matrix must become dependent")

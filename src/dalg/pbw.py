@@ -49,7 +49,7 @@ from .algebra import AxiomFailure, AxiomReport, _nonzero
 from .errors import DegreeOverflow, IndexOutOfRange, NotApplicable
 from .gf2k import Fe
 from .lie import LieAlgebra2
-from .linalg import CoordSolver, Matrix, Subspace, extend_basis, solve_lex_least
+from .linalg import Matrix, Subspace, solve_lex_least
 
 __all__ = [
     "Word",
@@ -152,8 +152,8 @@ class StraightenCtx:
         ctx = L.ctx
         im = L.im_d()
         kk = im.dim
-        prefix = Subspace(ctx, L.n, [L.basis_vec(i) for i in range(kk)])
-        if prefix != im:
+        # span(e_0..e_{kk-1}) in canonical form is those vectors themselves
+        if im.rows != [L.basis_vec(i) for i in range(kk)]:
             raise NotApplicable(
                 "the first dim Im(d) basis vectors must span Im(d)"
             )
@@ -306,12 +306,12 @@ def ordered_for_straightening(L: LieAlgebra2) -> tuple[StraightenCtx, bool]:
     ctx = L.ctx
     im = L.im_d()
     kk = im.dim
-    prefix = Subspace(ctx, L.n, [L.basis_vec(i) for i in range(kk)])
-    if prefix.rows == im.rows:
+    if im.rows == [L.basis_vec(i) for i in range(kk)]:
         return StraightenCtx(L), False
+    span = Subspace(ctx, L.n, im.rows)
     basis = [list(r) for r in im.rows]
-    basis += extend_basis(im, [L.basis_vec(i) for i in range(L.n)])
-    tensor, dcols = L.transport(basis, CoordSolver(ctx, basis).coords)
+    basis += [e for e in map(L.basis_vec, range(L.n)) if span.add(e) is not None]
+    tensor, dcols = L.transport(basis, span.coords)
     moved = LieAlgebra2(ctx, tensor, Matrix.from_cols(ctx, dcols, nrows=L.n))
     return StraightenCtx(moved), True
 

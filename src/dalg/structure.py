@@ -35,7 +35,7 @@ from .errors import (
 )
 from .gf2k import Fe, FieldCtx, fe_sqrt
 from .ideals import DIdeal, close, ideal_intersect, nilpotency_index
-from .linalg import CoordSolver, Matrix, Subspace, extend_basis, solve_lex_least
+from .linalg import CoordSolver, Matrix, Subspace, solve_lex_least
 from .unipoly import UniPoly, poly_roots, squarefree_part
 
 __all__ = [
@@ -127,8 +127,9 @@ def _split_idempotents(a: DAlgebra, t: int, cols: list) -> list:
     """
     ctx = a.ctx
     unit = a.unit_vec()
-    basis = [unit] + extend_basis(Subspace(ctx, a.n, [unit]), cols)
-    solver, span = CoordSolver(ctx, basis), Matrix.from_cols(ctx, basis, a.n)
+    solver = Subspace(ctx, a.n, [unit])
+    basis = [unit] + [c for c in cols if solver.add(c) is not None]
+    span = Matrix.from_cols(ctx, basis, a.n)
     queue = [unit]
     out = []
     while queue:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 
-from dalg import CoordSolver, DAlgebra, Matrix, Morphism, Subspace, field
-from dalg.algebra import AxiomReport, _nonzero
+from dalg import CoordSolver, DAlgebra, Inconsistent, Matrix, Morphism, Subspace, field
+from dalg.algebra import AxiomReport, _contract, _nonzero
+from dalg.linalg import rref_rows
 from dalg.gf2k import FieldCtx
 from dalg.pbw import ConfluenceReport, StraightenCtx, TElem, _add_into, _relations, standard_words
 
@@ -243,6 +244,93 @@ def dense_assoc_corrupt_gf16() -> DAlgebra:
     ctx = field(16)
     p, _, _ = direct_product(truncated_poly_algebra(ctx, 3), truncated_poly_algebra(ctx, 2))
     return square_corrupted(dense_rebase(p, random.Random(0xA550C)), 1, 0, 1)
+
+
+# -- batch echelon oracles: spans, coordinates, closures and J rebuilt -------
+
+
+def batch_subspace(ctx: FieldCtx, ambient: int, vectors) -> Subspace:
+    """The span's canonical rows by one batch :func:`rref_rows` over every
+    vector; the oracle for the incremental :meth:`Subspace.add`.  It holds
+    no accepted vectors, so it has no ``coords``."""
+    red, pivots = rref_rows(ctx, [list(v) for v in vectors])
+    out = Subspace(ctx, ambient)
+    out.rows, out.pivots = red[: len(pivots)], pivots
+    return out
+
+
+class TransformSolver:
+    """Coordinates on independent vectors by one augmented elimination that
+    carries an identity tag along: red = T @ basis, so coords = cs @ T."""
+
+    def __init__(self, ctx: FieldCtx, basis):
+        self.ctx, self.m = ctx, len(basis)
+        self.n = len(basis[0]) if basis else 0
+        aug = [list(v) + [int(i == j) for j in range(self.m)] for i, v in enumerate(basis)]
+        red, pivots = rref_rows(ctx, aug)
+        if len(pivots) != self.m or any(p >= self.n for p in pivots):
+            raise Inconsistent("basis vectors are dependent")
+        self.red = [r[: self.n] for r in red[: self.m]]
+        self.transform = [r[self.n :] for r in red[: self.m]]
+        self.pivots = pivots
+
+    def coords(self, v):
+        mul = self.ctx.mul
+        out, cs = list(v), [0] * self.m
+        for i, (row, p) in enumerate(zip(self.red, self.pivots)):
+            f = out[p]
+            if f:
+                out = [x ^ mul(f, y) if y else x for x, y in zip(out, row)]
+                cs[i] = f
+        if any(out):
+            raise Inconsistent("vector outside the span of the basis")
+        res = [0] * self.m
+        for c, t in zip(cs, self.transform):
+            if c:
+                res = [x ^ mul(c, y) if y else x for x, y in zip(res, t)]
+        return res
+
+
+def rebuild_extend_basis(sub: Subspace, candidates) -> list:
+    """Candidates outside the span so far, the span rebuilt per pick."""
+    span = batch_subspace(sub.ctx, sub.ambient, sub.rows)
+    added = []
+    for v in candidates:
+        if not span.contains(v):
+            added.append(list(v))
+            span = batch_subspace(span.ctx, span.ambient, span.rows + [list(v)])
+    return added
+
+
+def restart_closure(a: DAlgebra, vectors, left) -> Subspace:
+    """Closure under d and u -> g u for g in left, the whole span
+    re-eliminated every round."""
+    n, ctx = a.n, a.ctx
+    cols = a._columns()
+    maps = [a._d_terms()] + [
+        [_nonzero(_contract(ctx, [0] * n, _nonzero(g), col)) for col in cols] for g in left
+    ]
+    span = batch_subspace(ctx, n, vectors)
+    new = span.rows
+    while new:
+        images = [_contract(ctx, [0] * n, u, m) for u in map(_nonzero, new) for m in maps]
+        new = batch_subspace(ctx, n, [span.reduce(w) for w in images]).rows
+        span = batch_subspace(ctx, n, span.rows + new)
+    return span
+
+
+def restart_generators(a: DAlgebra) -> list:
+    """J with the closure restarted from scratch after each pick."""
+    gens: list = []
+    span = restart_closure(a, [a.unit_vec()], [])
+    for j in sorted(range(a.n), key=lambda j: not any(a.dmat.col(j))):
+        if span.dim == a.n:
+            break
+        e = a.basis_vec(j)
+        if not span.contains(e):
+            gens.append(j)
+            span = restart_closure(a, span.rows + [e], [a.basis_vec(g) for g in gens])
+    return gens
 
 
 def all_products_generators(a: DAlgebra) -> list:

@@ -107,6 +107,24 @@ def test_generator_index_out_of_range():
         parse_presentation("P(1,0) / [y1] @ deg 2", field(1))
 
 
+def test_line_and_column_are_computed_only_on_failure(monkeypatch):
+    from dalg import dsl
+
+    calls = []
+    real = dsl._linecol
+
+    def spy(text, pos):
+        calls.append(pos)
+        return real(text, pos)
+
+    monkeypatch.setattr(dsl, "_linecol", spy)
+    pres = parse_presentation("P(2,1) / [x1 x2 + xi1 y1,\n x1^2] @ deg 3", field(1))
+    assert len(pres.relations) == 2 and calls == []
+    with pytest.raises(IndexOutOfRange, match=r"^x3 out of range 1..2 \(line 2, column 3\)$"):
+        parse_presentation("P(2,0) / [x1,\n  x3] @ deg 2", field(1))
+    assert len(calls) == 1
+
+
 def test_coefficient_outside_field():
     with pytest.raises(DslSyntaxError, match=r"outside GF\(2\^1\)"):
         parse_presentation("P(1,0) / [2 x1] @ deg 1", field(1))

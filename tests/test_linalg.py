@@ -21,8 +21,6 @@ from dalg import (
     solve,
     squarefree_part,
     subspace_intersect,
-    subspace_quotient_reps,
-    subspace_sum,
 )
 from dalg.linalg import solve_lex_least
 
@@ -120,7 +118,7 @@ def test_subspace_dimension_law():
         n = rng.randrange(2, 7)
         u = Subspace(ctx, n, [[ctx.rand(rng) for _ in range(n)] for _ in range(rng.randrange(1, 5))])
         w = Subspace(ctx, n, [[ctx.rand(rng) for _ in range(n)] for _ in range(rng.randrange(1, 5))])
-        s = subspace_sum(u, w)
+        s = Subspace(ctx, n, u.rows + w.rows)
         i = subspace_intersect(u, w)
         assert u.dim + w.dim == s.dim + i.dim
         for r in i.rows:
@@ -130,14 +128,15 @@ def test_subspace_dimension_law():
 
 
 def test_extend_basis_and_quotient_reps():
+    # coset representatives of sub in the ambient space, and in within
     ctx = field(2)
     sub = Subspace(ctx, 4, [[1, 1, 0, 0]])
-    reps = subspace_quotient_reps(sub)
-    assert len(reps) == 3
+    reps = extend_basis(sub, [[int(i == j) for j in range(4)] for i in range(4)])
+    assert reps == [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     total = Subspace(ctx, 4, sub.rows + reps)
     assert total.dim == 4
     within = Subspace(ctx, 4, [[1, 1, 0, 0], [0, 0, 1, 1]])
-    reps2 = subspace_quotient_reps(sub, within)
+    reps2 = extend_basis(sub, within.rows)
     assert len(reps2) == 1 and within.contains(reps2[0])
     assert extend_basis(within, [[1, 1, 0, 0]]) == []
 
