@@ -5,15 +5,18 @@ central generators y_1..y_s with dy_j = 0.  The defining exchange rule
 x_j x_i = x_i x_j + xi_i xi_j for i < j, together with xi_i^2 = 0 and the
 centrality of the xi_i and y_j, gives a normal form: every element is a
 combination of monomials y^a xi^eps x^b with the three blocks in order and
-indices ascending.  Structure coefficients live in the prime field, so
-straightening is pure parity bookkeeping.
+indices ascending.  The xi_i xi_j paid by each swap is central, so the
+product of two normal monomials is Wick's normal ordering, a sum over sets
+of disjoint swapped pairs counted mod 2 (:meth:`PAlgebra.mono_mul`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import combinations, combinations_with_replacement
 from math import comb
+from operator import add
 from typing import Iterable, Sequence
 
 from .algebra import DAlgebra
@@ -87,17 +90,21 @@ def mono_label(m: PMono) -> str:
 class PAlgebra:
     """Context for the free algebra on r x-generators and s y-generators.
 
-    Holds the straightening memos; monomials are plain tuples so the same
-    tables serve every element built over this context.
+    Holds the monomial product memo; monomials are plain tuples so the same
+    table serves every element built over this context.
     """
 
     def __init__(self, ctx: FieldCtx, r: int, s: int = 0):
         if r < 0 or s < 0:
             raise IndexOutOfRange("generator counts must be non-negative")
+        if r + s > MAX_MONOMIALS:  # each generator is a degree-one monomial
+            raise NotApplicable(
+                f"P({r},{s}) has more generators than the {MAX_MONOMIALS}"
+                " normal monomials this package enumerates"
+            )
         self.ctx = ctx
         self.r = r
         self.s = s
-        self._sort_memo: dict[tuple[int, ...], dict] = {}
         self._mul_memo: dict[tuple[PMono, PMono], dict] = {}
 
     # -- construction -------------------------------------------------
@@ -131,62 +138,52 @@ class PAlgebra:
         ey = tuple(1 if t == j - 1 else 0 for t in range(self.s))
         return PElem(self, {(ey, 0, (0,) * self.r): 1})
 
-    def from_terms(self, terms: dict[PMono, Fe]) -> "PElem":
-        return PElem(self, {m: c for m, c in terms.items() if c})
-
-    # -- straightening -------------------------------------------------
-
-    def _sort_xword(self, word: tuple[int, ...]) -> dict:
-        """Normal form of a product of x-letters.
-
-        Returns {(extra xi mask, x exponents): 1} keeping parity-odd terms
-        only.  Each swap across the leftmost descent spawns a shorter word
-        times a xi pair, so recursion terminates on (length, inversions).
-        """
-        hit = self._sort_memo.get(word)
-        if hit is not None:
-            return hit
-        j = next((j for j in range(len(word) - 1) if word[j] > word[j + 1]), None)
-        if j is None:
-            exps = [0] * self.r
-            for a in word:
-                exps[a] += 1
-            out = {(0, tuple(exps)): 1}
-            self._sort_memo[word] = out
-            return out
-        a, b = word[j], word[j + 1]
-        acc: dict = {}
-        for k2 in self._sort_xword(word[:j] + (b, a) + word[j + 2 :]):
-            acc[k2] = acc.get(k2, 0) ^ 1
-        corr = (1 << a) | (1 << b)
-        for (mask, exps) in self._sort_xword(word[:j] + word[j + 2 :]):
-            if mask & corr:
-                continue
-            k2 = (mask | corr, exps)
-            acc[k2] = acc.get(k2, 0) ^ 1
-        out = {k2: 1 for k2, p in acc.items() if p}
-        self._sort_memo[word] = out
-        return out
+    # -- products -----------------------------------------------------
 
     def mono_mul(self, m1: PMono, m2: PMono) -> dict:
-        """Product of normal monomials as {normal monomial: 1} parities."""
+        """Product of normal monomials as {normal monomial: 1} parities.
+
+        Wick's normal ordering.  Moving a letter x_b of x2 left past a
+        letter x_a of x1 with a > b pays the central term xi_a xi_b, so
+        x^alpha x^beta is the sum over sets of disjoint pairs (a, b), a > b,
+        of xi_S x^(alpha + beta - 1_S), S the indices the pairs use.  A pair
+        can be chosen in alpha_a beta_b ways, so mod 2 only odd alpha_a and
+        odd beta_b count, and xi^2 = 0 forbids an index used twice or one
+        already in xi1 | xi2.  Each set S is counted mod 2.
+        """
         key = (m1, m2)
         hit = self._mul_memo.get(key)
         if hit is not None:
             return hit
         y1, xi1, x1 = m1
         y2, xi2, x2 = m2
-        if xi1 & xi2:
-            out: dict = {}
-        else:
-            y = tuple(a + b for a, b in zip(y1, y2))
-            base = xi1 | xi2
-            word = _letters(x1) + _letters(x2)
-            out = {}
-            for (extra, exps) in self._sort_xword(word):
-                if extra & base:
-                    continue
-                out[(y, base | extra, exps)] = 1
+        out: dict = {}
+        if not xi1 & xi2:
+            y, x, base = tuple(map(add, y1, y2)), tuple(map(add, x1, x2)), xi1 | xi2
+            odd_a = odd_b = 0
+            for i, (a, b) in enumerate(zip(x1, x2)):
+                odd_a |= (a & 1) << i
+                odd_b |= (b & 1) << i
+            odd_b &= ~base
+            # a pair needs an odd alpha index above the lowest odd beta index
+            odd_a &= ~base & -((odd_b & -odd_b) << 1)
+            if not odd_a:
+                out[(y, base, x)] = 1
+            else:
+                # pair masks S of odd multiplicity, grown one a at a time;
+                # each new mask holds bit a, so it toggles no older one
+                sets = {0}
+                while odd_a:
+                    abit = odd_a & -odd_a
+                    odd_a ^= abit
+                    for s in list(sets):
+                        free = odd_b & (abit - 1) & ~s
+                        while free:
+                            bbit = free & -free
+                            free ^= bbit
+                            sets ^= {s | abit | bbit}
+                for s in sets:
+                    out[(y, base | s, tuple(e - (s >> i & 1) for i, e in enumerate(x)))] = 1
         self._mul_memo[key] = out
         return out
 
@@ -271,9 +268,12 @@ class PElem:
         return PElem(self.pa, out)
 
     def pow(self, e: int) -> "PElem":
+        """self^e by repeated squaring, O(log e) products; self^0 is 1."""
         out = self.pa.one()
-        for _ in range(e):
-            out = out * self
+        for bit in f"{e:b}":
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def d(self) -> "PElem":
@@ -312,20 +312,18 @@ class Presentation:
     bound: int = 4
 
     def __post_init__(self):
-        for rel in self.relations:
+        for i, rel in enumerate(self.relations, 1):
             if rel.pa is not self.pa:
                 raise NotApplicable("relation from a different free algebra")
-            if rel.degree() > self.bound:
-                raise DegreeOverflow("relation degree exceeds the bound")
+            if (deg := rel.degree()) > self.bound:
+                raise DegreeOverflow(f"relation {i} has degree {deg}, above the bound {self.bound}")
 
 
 def _tuples_bounded(length: int, total: int) -> Iterable[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for first in range(total + 1):
-        for rest in _tuples_bounded(length - 1, total - first):
-            yield (first,) + rest
+    """Exponent tuples of the given length with sum at most total."""
+    for deg in range(total + 1):
+        for picks in combinations_with_replacement(range(length), deg):
+            yield tuple(map(picks.count, range(length)))
 
 
 # enumerate_monomials refuses a free algebra with more normal monomials than
@@ -360,12 +358,11 @@ def enumerate_monomials(pa: PAlgebra, bound: int) -> list[PMono]:
     out = []
     for y in _tuples_bounded(pa.s, bound):
         left_y = bound - sum(y)
-        for mask in range(1 << pa.r):
-            pc = mask.bit_count()
-            if pc > left_y:
-                continue
-            for x in _tuples_bounded(pa.r, left_y - pc):
-                out.append((y, mask, x))
+        for pc in range(min(pa.r, left_y) + 1):
+            for picks in combinations(range(pa.r), pc):
+                mask = sum(1 << i for i in picks)
+                for x in _tuples_bounded(pa.r, left_y - pc):
+                    out.append((y, mask, x))
     out.sort(key=mono_sort_key)
     return out
 
@@ -435,9 +432,11 @@ def quotient_to_dalgebra(pres: Presentation) -> DAlgebra:
     if not basis or basis[0] != pa.one_mono():
         raise NotApplicable("relations collapse the unit monomial; no bounded quotient")
 
+    basis_cols = [rev[m] for m in basis]
+
     def coset_coords(el: PElem, who: str) -> list[Fe]:
         v = span.reduce(coords(el, who))
-        return [v[rev[m]] for m in basis]
+        return [v[j] for j in basis_cols]
 
     tensor = []
     for mi in basis:

@@ -404,6 +404,60 @@ def two_sided_relation_span(pres) -> Subspace:
     return Subspace(pa.ctx, nm, rows)
 
 
+# -- P(r,s) product oracle: letter-by-letter word sort -------------------------
+
+
+def sort_xword(r: int, word: tuple, memo: dict) -> dict:
+    """Normal form of a product of x-letters (0-based indices) in P(r, s).
+
+    Returns {(extra xi mask, x exponents): 1} keeping parity-odd terms only.
+    Each swap across the leftmost descent spawns a shorter word times a xi
+    pair, so recursion terminates on (length, inversions).  ``memo`` keeps
+    every word visited; the oracle for ``PAlgebra.mono_mul``'s closed form.
+    """
+    hit = memo.get(word)
+    if hit is not None:
+        return hit
+    j = next((j for j in range(len(word) - 1) if word[j] > word[j + 1]), None)
+    if j is None:
+        exps = [0] * r
+        for a in word:
+            exps[a] += 1
+        out = {(0, tuple(exps)): 1}
+        memo[word] = out
+        return out
+    a, b = word[j], word[j + 1]
+    acc: dict = {}
+    for k2 in sort_xword(r, word[:j] + (b, a) + word[j + 2 :], memo):
+        acc[k2] = acc.get(k2, 0) ^ 1
+    corr = (1 << a) | (1 << b)
+    for mask, exps in sort_xword(r, word[:j] + word[j + 2 :], memo):
+        if mask & corr:
+            continue
+        k2 = (mask | corr, exps)
+        acc[k2] = acc.get(k2, 0) ^ 1
+    out = {k2: 1 for k2, p in acc.items() if p}
+    memo[word] = out
+    return out
+
+
+def sorted_mono_mul(r: int, m1, m2, memo: dict) -> dict:
+    """Product of normal monomials of P(r, s) through :func:`sort_xword`."""
+    y1, xi1, x1 = m1
+    y2, xi2, x2 = m2
+    if xi1 & xi2:
+        return {}
+    y = tuple(a + b for a, b in zip(y1, y2))
+    base = xi1 | xi2
+    word = tuple(i for i, e in enumerate(x1) for _ in range(e))
+    word += tuple(i for i, e in enumerate(x2) for _ in range(e))
+    return {
+        (y, base | extra, exps): 1
+        for extra, exps in sort_xword(r, word, memo)
+        if not extra & base
+    }
+
+
 # -- PBW oracles: the sandwich scan and the rewrite-site / preimage fuzz -------
 
 

@@ -61,6 +61,14 @@ def test_coefficient_power_and_generator_power():
     # 0b10 squared in GF(4) with t^2 = t + 1 is t + 1 = 0b11
     assert pres.relations[0] == pa.x(1).scale(3)
     assert pres.relations[1] == pa.x(1) * pa.x(1) * pa.x(1)
+    # powers square, so exponents up to 10^9 cost a few dozen products
+    for e in (10, 999_999_999, 10**9):
+        src = f"P(1,1) / [2^{e} x1^{e} y1^{e}, xi1^{e} + 3^{e}, x1^{e} xi1] @ deg {2 * e + 1}"
+        pres = parse_presentation(src, ctx)
+        pa = pres.pa
+        assert pres.relations[0].terms == {((e,), 0, (e,)): ctx.pow(2, e)}
+        assert pres.relations[1] == pa.const(ctx.pow(3, e))
+        assert pres.relations[2].terms == {((0,), 1, (e,)): 1}
 
 
 def test_squared_xi_collapses_to_zero():
@@ -148,7 +156,7 @@ def random_pelem(rng, pa, max_deg):
         x = tuple(rng.randrange(2) for _ in range(pa.r))
         c = rng.randrange(1, 1 << pa.ctx.k)
         terms[(y, xi, x)] = c
-    return pa.from_terms(terms)
+    return PElem(pa, terms)
 
 
 def test_print_parse_round_trip_fuzz():

@@ -26,7 +26,7 @@ from dalg import (
     verify_morphism,
 )
 from dalg.linalg import Matrix
-from helpers import two_sided_relation_span
+from helpers import sorted_mono_mul, two_sided_relation_span
 
 
 def rand_elem(pa, rng, nterms=3, maxdeg=3):
@@ -89,6 +89,50 @@ def test_mono_mul_associative():
         b = PElem(pa, {rng.choice(monos): 1})
         c = PElem(pa, {rng.choice(monos): 1})
         assert (a * b) * c == a * (b * c)
+
+
+def _normal_monos(r, s, max_exp):
+    exps = list(itertools.product(range(max_exp + 1), repeat=r))
+    ys = list(itertools.product(range(2), repeat=s))
+    return [(y, xi, x) for y in ys for xi in range(1 << r) for x in exps]
+
+
+@pytest.mark.parametrize("r,s,max_exp", [(1, 0, 2), (2, 0, 2), (3, 0, 2), (4, 0, 1), (2, 1, 2)])
+def test_mono_mul_matches_word_sort_exhaustive(r, s, max_exp):
+    # every pair of normal monomials, every xi mask, against the word sort
+    pa = PAlgebra(field(1), r, s)
+    memo = {}
+    monos = _normal_monos(r, s, max_exp)
+    for m1 in monos:
+        for m2 in monos:
+            assert pa.mono_mul(m1, m2) == sorted_mono_mul(r, m1, m2, memo), (m1, m2)
+
+
+def _rand_mono(rng, r, s):
+    return (tuple(rng.randrange(3) for _ in range(s)), rng.randrange(1 << r), tuple(rng.randrange(4) for _ in range(r)))
+
+
+def test_mono_mul_matches_word_sort_random():
+    rng = random.Random(28)
+    for _ in range(200):
+        r, s = rng.randrange(7), rng.randrange(3)
+        pa = PAlgebra(field(1), r, s)
+        memo = {}
+        for _ in range(5):
+            m1, m2 = _rand_mono(rng, r, s), _rand_mono(rng, r, s)
+            assert pa.mono_mul(m1, m2) == sorted_mono_mul(r, m1, m2, memo), (m1, m2)
+
+
+def test_pow_equals_repeated_products():
+    rng = random.Random(29)
+    for r, s, k in [(2, 1, 1), (3, 0, 4), (1, 2, 8)]:
+        pa = PAlgebra(field(k), r, s)
+        for _ in range(4):
+            u = rand_elem(pa, rng, nterms=4, maxdeg=2)
+            prod = pa.one()
+            for e in range(10):
+                assert u.pow(e) == prod, (u, e)
+                prod = prod * u
 
 
 def test_mono_label():
@@ -294,8 +338,8 @@ def test_relation_degree_over_bound_rejected():
     ctx = field(4)
     pa = PAlgebra(ctx, 1, 0)
     x = pa.x(1)
-    with pytest.raises(DegreeOverflow):
-        Presentation(pa, [x * x * x], 2)
+    with pytest.raises(DegreeOverflow, match=r"^relation 2 has degree 3, above the bound 2$"):
+        Presentation(pa, [x * x, x * x * x], 2)
 
 
 def test_quotient_seven_dim_family_seed():
