@@ -44,18 +44,22 @@ linear f: A -> B with f(1) = 1 and f d = d f between algebras that
 passed, M = {x : f(x y) = f(x) f(y) for all y} is a subalgebra holding 1
 and closed under d (d(x) y = d(x y) + x d(y), then Leibniz in B), so
 :func:`verify_morphism` checks the rows i in J of the source.  Both rerun
-the full scan on any failure.
+the full scan on any failure.  verify_morphism compares f d = d f column
+by column as contractions, f(d(e_j)) = sum_a D_aj f(e_a) against
+d(f(e_j)) = sum_b F_bj d(e_b); the dense products f D and D f are built
+only to record a failure.
 
 ``verify`` memoises its report and ``generators`` its J on the instance;
 the tensor and d must not change after construction, so neither goes
 stale.  Callers share the report and must not mutate it.
 :func:`verify_morphism` starts no ``verify``: it reads J only when both
 endpoints already hold a passing report.  Passing reports are passed on
-by :func:`embed_algebra` (an injective ring map keeps every law),
-:func:`dalg.dim7.make_D` (the family proof), :func:`subalgebra` (a span
-closed under products and d keeps the multilinear laws; the unit laws
-and d(1) = 0 are checked) and :func:`direct_product_many` (every law
-holds blockwise, and products and d across factors vanish).
+by :func:`embed_algebra` (an injective ring map keeps every law, and it
+passes J on too), :func:`dalg.dim7.make_D` (the family proof),
+:func:`subalgebra` (a span closed under products and d keeps the
+multilinear laws; the unit laws and d(1) = 0 are checked) and
+:func:`direct_product_many` (every law holds blockwise, and products and
+d across factors vanish).
 
 In an algebra that satisfies the axioms the same span is the
 d-subalgebra J generates: it holds every word in the e_g and d(e_g),
@@ -505,13 +509,26 @@ def _multiplicative_failures(m: Morphism, fterms, rows) -> list:
     return out.failures
 
 
+def _equivariant(m: Morphism, fterms) -> bool:
+    """f(d(e_j)) = d(f(e_j)) for every j, as sum_a D_aj f(e_a) = sum_b F_bj d(e_b)."""
+    src, tgt = m.source, m.target
+    ctx, n = tgt.ctx, tgt.n
+    sd, td = src._d_terms(), tgt._d_terms()
+    return all(
+        _contract(ctx, [0] * n, sd[j], fterms) == _contract(ctx, [0] * n, fterms[j], td)
+        for j in range(src.n)
+    )
+
+
 def verify_morphism(m: Morphism, require_iso: bool = False) -> AxiomReport:
     """Check unitality, multiplicativity, d-equivariance (and bijectivity).
 
     Multiplicativity is checked on the rows in the source's generators
     when f is unital and d-equivariant and both endpoints hold a passing
-    memoised report, on every row otherwise or after a failure; see the
-    module docstring.
+    memoised report, on every row otherwise or after a failure.
+    d-equivariance is compared column by column over term lists; the
+    dense products are built only for a failure's record.  See the module
+    docstring.
     """
     rep = AxiomReport("morphism")
     src, tgt = m.source, m.target
@@ -523,10 +540,8 @@ def verify_morphism(m: Morphism, require_iso: bool = False) -> AxiomReport:
     unital = img_unit == tgt.unit_vec()
     if not unital:
         rep.record("unit", (), img_unit, tgt.unit_vec())
-    lhs_mat = m.mat.mul(src.dmat)
-    rhs_mat = tgt.dmat.mul(m.mat)
-    equivariant = lhs_mat == rhs_mat
     fterms = [_nonzero(m.mat.col(j)) for j in range(src.n)]
+    equivariant = _equivariant(m, fterms)
     everywhere = range(src.n)
     reduced = unital and equivariant and _passed(src) and _passed(tgt)
     rows = src.generators() if reduced else everywhere
@@ -535,6 +550,7 @@ def verify_morphism(m: Morphism, require_iso: bool = False) -> AxiomReport:
         found = _multiplicative_failures(m, fterms, everywhere)
     rep.failures += found
     if not equivariant:
+        lhs_mat, rhs_mat = m.mat.mul(src.dmat), tgt.dmat.mul(m.mat)
         rep.record("d_equivariant", (), tuple(map(tuple, lhs_mat.rows)), tuple(map(tuple, rhs_mat.rows)))
     if require_iso:
         if src.n != tgt.n or m.mat.rank() != src.n:
@@ -794,10 +810,18 @@ def direct_product(a: DAlgebra, b: DAlgebra):
 
 def embed_algebra(a: AssocAlgebra2, big_ctx: FieldCtx, embed) -> AssocAlgebra2:
     """Same structure constants pushed through a field embedding, holding
-    a's passing report when a holds one; see the module docstring."""
+    a's passing report when a holds one, and a's J when a has computed it.
+
+    J carries over because every vector :meth:`AssocAlgebra2.generators`
+    builds is a contraction of the constants, so the embedded copy builds
+    the embedded vectors, and whether a basis vector lies in the span of
+    vectors with entries in the subfield is a rank condition, which an
+    injective field map keeps; see the module docstring for the report.
+    """
     tensor = [[[embed(x) for x in v] for v in row] for row in a.tensor]
     drows = [[embed(x) for x in r] for r in a.dmat.rows]
     out = type(a)(big_ctx, tensor, Matrix(big_ctx, drows, a.n), a.unit_idx)
     if _passed(a):
         out._report = a._report
+    out._gens = a._gens
     return out

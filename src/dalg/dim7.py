@@ -11,12 +11,19 @@ on the basis 1, xi1, xi2, x1, x2, xi1 xi2, xi1 x2.  :func:`classify7`
 finds the parameters of a given algebra together with an isomorphism from
 the matching D, and :func:`normalize7` walks any member down to D(0, 0, 0),
 extending the field once when the quadratic k t^2 + t + h has no roots.
+
+Each claim is checked once.  classify7 verifies its isomorphism and
+memoises the form on the algebra.  The maps of :func:`reduce_to_q` and
+:func:`kill_q` are built unverified; normalize7 verifies the isomorphism
+it returns, and checks those maps one by one only when that fails, to
+name the failing step.  After the field doubling the embedded algebra is
+not classified again: it gets the embedded form, whose map is verified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 from .algebra import (
@@ -196,7 +203,16 @@ def classify7(a: DAlgebra) -> CanonicalForm7:
     The input must be a 7-dimensional noncommutative d-algebra; anything
     the classification theorem promises but the input fails to deliver is
     reported as :class:`TheoremViolation`.
+
+    The form is memoised on ``a``, as ``verify`` keeps its report, so the
+    tensor and d must not change afterwards and callers must not mutate
+    ``coeffs``.  The memo leaves out the map's target, a itself, so that
+    it makes no reference cycle; a hit wraps the memoised matrix again.
     """
+    memo = getattr(a, "_canonical7", None)
+    if memo is not None:
+        h, k, p, mat, witness, coeffs = memo
+        return CanonicalForm7(h, k, p, Morphism(make_D(a.ctx, h, k, p), a, mat), witness, coeffs)
     ctx = a.ctx
     if a.n != 7:
         raise NotApplicable("classification applies to dimension 7 only")
@@ -256,51 +272,53 @@ def classify7(a: DAlgebra) -> CanonicalForm7:
     mrep = verify_morphism(phi, require_iso=True)
     if not mrep.passed:
         raise TheoremViolation(f"canonical map fails to verify: {mrep.failures[:1]}")
-    return CanonicalForm7(
-        h, k, p, phi, witness,
-        {"a3": a3, "b3": b3, "g3": g3, "h3": h3, "k3": k3, "p3": p3},
-    )
+    coeffs = {"a3": a3, "b3": b3, "g3": g3, "h3": h3, "k3": k3, "p3": p3}
+    a._canonical7 = (h, k, p, phi.mat, witness, coeffs)
+    return CanonicalForm7(h, k, p, phi, witness, coeffs)
 
 
-def _morphism_by_images(src: DAlgebra, tgt: DAlgebra, cols, what: str) -> Morphism:
-    m = Morphism(src, tgt, Matrix.from_cols(tgt.ctx, cols))
-    rep = verify_morphism(m, require_iso=True)
-    if not rep.passed:
-        raise TheoremViolation(f"{what} fails to verify: {rep.failures[:1]}")
-    return m
+def _seed_embedded(form: CanonicalForm7, big_a: DAlgebra, embed) -> None:
+    """Memoise on big_a = embed_algebra(a, big, embed) the classification
+    ``form`` of a pushed through embed: the form :func:`classify7` finds
+    for big_a.
 
-
-def reduce_to_q(ctx: FieldCtx, h: Fe, k: Fe, p: Fe) -> tuple[Fe, Morphism]:
-    """An isomorphism D(0, 0, q) -> D(h, k, p).
-
-    With k nonzero, q = alpha k for a root alpha of k t^2 + t + h; the two
-    x generators move to sqrt(p) d(u) + u over the eigenvector changes
-    u = x1 + root x2.  A rootless quadratic raises :class:`NeedsExtension`
-    with the doubled degree.  With k = 0 but h nonzero the roles of the
-    generators swap first, trading (h, 0, p) for (0, h, p + 1).
+    classify7 reads everything off the constants of its input by +, x,
+    square roots, ranks and coordinates, and makes its choices (the
+    witness, which coordinates vanish) by comparing field elements.  An
+    injective field map commutes with each of these (a square root is the
+    inverse of the Frobenius map, which it commutes with), so on big_a
+    every step gives the embedded value: the same witness, the embedded
+    parameters and coefficients, and the entrywise embedded matrix.  The
+    map is verified all the same; both endpoints hold passing reports
+    (the family proof, and a's report passed on by embed_algebra), so that
+    check reads the rows in J.
     """
+    big = big_a.ctx
+    h, k, p = (embed(c) for c in (form.h, form.k, form.p))
+    mat = Matrix(big, [[embed(x) for x in row] for row in form.morphism.mat.rows])
+    phi = Morphism(make_D(big, h, k, p), big_a, mat)
+    rep = verify_morphism(phi, require_iso=True)
+    if not rep.passed:
+        raise TheoremViolation(f"embedded canonical map fails to verify: {rep.failures[:1]}")
+    coeffs = {name: embed(c) for name, c in form.coeffs.items()}
+    big_a._canonical7 = (h, k, p, mat, form.witness, coeffs)
+
+
+def _swap(ctx: FieldCtx, h: Fe, p: Fe) -> Morphism:
+    """x1 <-> x2: a map D(0, h, p + 1) -> D(h, 0, p); unverified."""
+    tgt = make_D(ctx, h, 0, p)
+    e = tgt.basis_vec
+    cols = [tgt.unit_vec(), e(2), e(1), e(4), e(3), tgt.mul(e(2), e(1)), tgt.mul(e(2), e(3))]
+    return Morphism(make_D(ctx, 0, h, p ^ 1), tgt, Matrix.from_cols(ctx, cols))
+
+
+def _diagonalize(ctx: FieldCtx, h: Fe, k: Fe, p: Fe) -> tuple[Fe, Morphism]:
+    """q and a map D(0, 0, q) -> D(h, k, p) for k nonzero; unverified."""
     tgt = make_D(ctx, h, k, p)
-    if not h and not k:
-        n = tgt.n
-        ident = Matrix.identity(ctx, n)
-        return p, Morphism(tgt, tgt, ident)
-    if not k:
-        # swap x1 <-> x2: an isomorphism D(0, h, p + 1) -> D(h, 0, p)
-        mid = make_D(ctx, 0, h, p ^ 1)
-        e = tgt.basis_vec
-        swap_cols = [
-            tgt.unit_vec(), e(2), e(1), e(4), e(3),
-            tgt.mul(e(2), e(1)), tgt.mul(e(2), e(3)),
-        ]
-        sigma = _morphism_by_images(mid, tgt, swap_cols, "generator swap")
-        q, psi = reduce_to_q(ctx, 0, h, p ^ 1)
-        return q, compose(sigma, psi)
     alpha, beta = quad_roots(ctx, k, 1, h)
     q = ctx.mul(alpha, k)
-    src = make_D(ctx, 0, 0, q)
     e = tgt.basis_vec
     sp = fe_sqrt(ctx, p)
-    cols = []
     us = []
     for root in (alpha, beta):
         u = [ac ^ ctx.mul(root, bc) for ac, bc in zip(e(3), e(4))]
@@ -312,11 +330,46 @@ def reduce_to_q(ctx: FieldCtx, h: Fe, k: Fe, p: Fe) -> tuple[Fe, Morphism]:
         tgt.unit_vec(), us[0][1], us[1][1], x_imgs[0], x_imgs[1],
         tgt.mul(us[0][1], us[1][1]), tgt.mul(us[0][1], x_imgs[1]),
     ]
-    return q, _morphism_by_images(src, tgt, cols, "diagonalizing map")
+    return q, Morphism(make_D(ctx, 0, 0, q), tgt, Matrix.from_cols(ctx, cols))
+
+
+def _reduce_steps(ctx: FieldCtx, h: Fe, k: Fe, p: Fe) -> tuple[Fe, list]:
+    """q and the named maps of :func:`reduce_to_q`, outermost first."""
+    steps = []
+    if h and not k:
+        steps.append(("generator swap", _swap(ctx, h, p)))
+        h, k, p = 0, h, p ^ 1
+    if not k:
+        return p, steps
+    q, m = _diagonalize(ctx, h, k, p)
+    return q, steps + [("diagonalizing map", m)]
+
+
+def reduce_to_q(ctx: FieldCtx, h: Fe, k: Fe, p: Fe) -> tuple[Fe, Morphism]:
+    """An isomorphism D(0, 0, q) -> D(h, k, p).
+
+    With k nonzero, q = alpha k for a root alpha of k t^2 + t + h; the two
+    x generators move to sqrt(p) d(u) + u over the eigenvector changes
+    u = x1 + root x2.  A rootless quadratic raises :class:`NeedsExtension`
+    with the doubled degree.  With k = 0 but h nonzero the roles of the
+    generators swap first, trading (h, 0, p) for (0, h, p + 1).
+
+    The map is built, not verified: :func:`normalize7` checks it through
+    the composite it returns, and names the failing step when that fails.
+    """
+    q, steps = _reduce_steps(ctx, h, k, p)
+    if not steps:
+        tgt = make_D(ctx, h, k, p)
+        return q, Morphism(tgt, tgt, Matrix.identity(ctx, tgt.n))
+    return q, reduce(compose, [m for _, m in steps])
 
 
 def kill_q(ctx: FieldCtx, q: Fe) -> Morphism:
-    """An isomorphism D(0, 0, 0) -> D(0, 0, q) via x_i -> sqrt(q) xi_i + x_i."""
+    """An isomorphism D(0, 0, 0) -> D(0, 0, q) via x_i -> sqrt(q) xi_i + x_i.
+
+    The map is built, not verified: :func:`normalize7` checks it through
+    the composite it returns, and names it when that fails.
+    """
     src = make_D(ctx, 0, 0, 0)
     tgt = make_D(ctx, 0, 0, q)
     e = tgt.basis_vec
@@ -324,7 +377,7 @@ def kill_q(ctx: FieldCtx, q: Fe) -> Morphism:
     x1 = [ctx.mul(sq, ac) ^ bc for ac, bc in zip(e(1), e(3))]
     x2 = [ctx.mul(sq, ac) ^ bc for ac, bc in zip(e(2), e(4))]
     cols = [tgt.unit_vec(), e(1), e(2), x1, x2, tgt.mul(e(1), e(2)), tgt.mul(e(1), x2)]
-    return _morphism_by_images(src, tgt, cols, "parameter-killing map")
+    return Morphism(src, tgt, Matrix.from_cols(ctx, cols))
 
 
 @dataclass
@@ -351,7 +404,15 @@ def normalize7(a: DAlgebra, allow_extend: bool = True) -> Normal7Result:
     """Normalize a 7-dimensional noncommutative algebra onto D(0, 0, 0).
 
     At most one field doubling is ever needed: a quadratic without roots
-    splits over the degree-2 extension.
+    splits over the degree-2 extension.  The doubled field reuses the
+    classification: the embedded algebra is seeded with the embedded
+    form (see :func:`_seed_embedded`) before this function runs on it.
+
+    Each claim is checked once.  :func:`classify7` verifies its map, and
+    the returned ``morphism`` is verified whole; the maps of
+    :func:`reduce_to_q` and :func:`kill_q` are checked through it.  Only
+    when it fails are those maps verified one by one, in order, so the
+    error names the first step that fails.
     """
     ctx = a.ctx
     c7 = classify7(a)
@@ -361,7 +422,9 @@ def normalize7(a: DAlgebra, allow_extend: bool = True) -> Normal7Result:
         if not allow_extend:
             raise
         big, emb = field_extend(ctx)
-        res = normalize7(embed_algebra(a, big, emb), allow_extend=False)
+        big_a = embed_algebra(a, big, emb)
+        _seed_embedded(c7, big_a, emb)
+        res = normalize7(big_a, allow_extend=False)
         res.extended = True
         return res
     m3 = kill_q(ctx, q)
@@ -369,6 +432,11 @@ def normalize7(a: DAlgebra, allow_extend: bool = True) -> Normal7Result:
     up = invert(down)
     rep = verify_morphism(up, require_iso=True)
     if not rep.passed:
+        _, steps = _reduce_steps(ctx, c7.h, c7.k, c7.p)
+        for what, m in steps + [("parameter-killing map", m3)]:
+            srep = verify_morphism(m, require_iso=True)
+            if not srep.passed:
+                raise TheoremViolation(f"{what} fails to verify: {srep.failures[:1]}")
         raise TheoremViolation(f"normalization chain fails to verify: {rep.failures[:1]}")
     return Normal7Result(
         algebra=a,

@@ -91,7 +91,9 @@ class PAlgebra:
     """Context for the free algebra on r x-generators and s y-generators.
 
     Holds the monomial product memo; monomials are plain tuples so the same
-    table serves every element built over this context.
+    table serves every element built over this context.  The memo is
+    cleared whole once it holds ``MUL_MEMO_SIZE`` pairs, so a long product
+    chain, which makes a new pair per factor, keeps it bounded.
     """
 
     def __init__(self, ctx: FieldCtx, r: int, s: int = 0):
@@ -184,6 +186,8 @@ class PAlgebra:
                             sets ^= {s | abit | bbit}
                 for s in sets:
                     out[(y, base | s, tuple(e - (s >> i & 1) for i, e in enumerate(x)))] = 1
+        if len(self._mul_memo) >= MUL_MEMO_SIZE:
+            self._mul_memo.clear()
         self._mul_memo[key] = out
         return out
 
@@ -332,6 +336,10 @@ def _tuples_bounded(length: int, total: int) -> Iterable[tuple[int, ...]]:
 # cube of their number; the largest count a shipped input or benchmark
 # workload reaches is 501.
 MAX_MONOMIALS = 4096
+
+# Pairs PAlgebra.mono_mul keeps before it clears its memo whole; the
+# cli_quotient benchmark inputs (seeds 1 to 10) keep at most 1,300.
+MUL_MEMO_SIZE = 1 << 14
 
 
 def monomial_count(r: int, s: int, bound: int) -> int:

@@ -445,17 +445,23 @@ def test_verify_morphism_matches_dense_loops(k):
     cases = []
     # verified isomorphisms: random changes of basis, and their inverses
     for a in algs:
+        # a onto itself with d = 0: unital and multiplicative, and
+        # d-equivariant only when d is already 0
+        flat = type(a)(ctx, a.tensor, Matrix.zeros(ctx, a.n, a.n), a.unit_idx)
+        cases.append(Morphism(a, flat, Matrix.identity(ctx, a.n)))
         rows = [a.unit_vec()] + [a.rand_vec(rng) for _ in range(a.n - 1)]
         if Subspace(ctx, a.n, rows).dim != a.n:
             continue
         b, phi = change_basis(a, rows)
         cases += [phi, Morphism(a, b, phi.mat.inverse())]
-        # the same map into a perturbed target
+        # the same map into a perturbed target, and into a with d = 0
         cases.append(Morphism(b, perturbed(a, rng, 1, 1), phi.mat))
+        cases.append(Morphism(b, flat, phi.mat))
     # random linear maps, between equal and unequal dimensions
     for _ in range(40):
         src, tgt = rng.choice(algs), rng.choice(algs)
         cases.append(random_morphism(src, tgt, rng))
+    only_d = 0
     for m in cases:
         for iso in (False, True):
             got = verify_morphism(m, require_iso=iso)
@@ -464,7 +470,8 @@ def test_verify_morphism_matches_dense_loops(k):
                 passing += 1
             else:
                 failing += 1
-    assert failing > 10 and passing > 10
+        only_d += [f.axiom for f in got.failures] == ["d_equivariant"]
+    assert failing > 10 and passing > 10 and only_d > 5
 
 
 def random_combination(ctx, rows, n, rng):

@@ -4,20 +4,25 @@ import re
 import pytest
 
 from dalg import (
+    AssocAlgebra2,
     DAlgebra,
     Matrix,
+    Morphism,
     NeedsExtension,
     NotApplicable,
     Subspace,
     TheoremViolation,
     change_basis,
     defect,
+    embed_algebra,
     field,
+    field_extend,
     homology,
     lemma_suite,
     verify_morphism,
 )
 from dalg import dim7
+from dalg.algebra import vec_xor
 from dalg.dim7 import _quotient_D, classify7, kill_q, make_D, normalize7, reduce_to_q
 
 from helpers import truncated_poly_algebra
@@ -286,3 +291,121 @@ def test_normalize_tiny_field_extends():
     assert res.extended
     assert res.algebra.ctx.k == 2
     assert verify_morphism(res.morphism, require_iso=True).passed
+
+
+def _extended_inputs(ctx, rng, count):
+    """Rebased family members whose normalization needs the field doubling."""
+    out = []
+    while len(out) < count:
+        h, k, p = ctx.rand(rng), ctx.rand_nonzero(rng), ctx.rand(rng)
+        try:
+            reduce_to_q(ctx, h, k, p)
+            continue
+        except NeedsExtension:
+            pass
+        d = make_D(ctx, h, k, p)
+        out.append(change_basis(d, _random_unit_basis(d, rng))[0])
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_doubling_reuses_the_classification(k, monkeypatch):
+    # the embedded algebra is never classified again: its form is the
+    # embedded one, equal to what a fresh classification finds
+    ctx = field(k)
+    rng = random.Random(53 + k)
+    scans = []
+    is_commutative = DAlgebra.is_commutative
+    monkeypatch.setattr(DAlgebra, "is_commutative", lambda a: scans.append(a) or is_commutative(a))
+    for b in _extended_inputs(ctx, rng, 4):
+        scans.clear()
+        res = normalize7(b)
+        assert res.extended and res.algebra.ctx.k == 2 * k
+        assert scans == [b]
+        seeded = res.classified
+        assert seeded.morphism.target is res.algebra
+        assert verify_morphism(seeded.morphism, require_iso=True).passed
+        assert verify_morphism(res.morphism, require_iso=True).passed
+        res.algebra._canonical7 = None
+        fresh = classify7(res.algebra)
+        assert fresh is not seeded
+        assert (fresh.h, fresh.k, fresh.p) == (seeded.h, seeded.k, seeded.p) == (res.h, res.k, res.p)
+        assert fresh.coeffs == seeded.coeffs
+        assert fresh.witness == seeded.witness
+        assert fresh.morphism.mat == seeded.morphism.mat
+        assert fresh.morphism.source is seeded.morphism.source
+
+
+def test_embed_algebra_passes_J_on(monkeypatch):
+    ctx = field(4)
+    rng = random.Random(59)
+    grown = []
+    grow = AssocAlgebra2._grow
+    monkeypatch.setattr(AssocAlgebra2, "_grow", lambda a, *args: grown.append(a) or grow(a, *args))
+    for b in _extended_inputs(ctx, rng, 4):
+        assert b.verify().passed
+        J = b.generators()
+        big, emb = field_extend(ctx)
+        e = embed_algebra(b, big, emb)
+        assert e.verify() is b.verify()
+        grown.clear()
+        assert e.generators() == J
+        res = normalize7(b)
+        assert res.algebra.generators() == J
+        assert verify_morphism(res.morphism, require_iso=True).passed
+        assert not [a for a in grown if a is e or a is res.algebra]
+        # a fresh copy over the big field computes the same J
+        fresh = DAlgebra(big, e.tensor, e.dmat.rows, e.unit_idx)
+        assert fresh.generators() == J
+        assert [a for a in grown if a is fresh]
+
+
+def _corrupted(m):
+    # xi1 goes to its image plus 1, which squares to 1 where xi1^2 = 0
+    cols = [m.mat.col(j) for j in range(m.source.n)]
+    cols[1] = vec_xor(cols[1], m.target.unit_vec())
+    bad = Morphism(m.source, m.target, Matrix.from_cols(m.mat.ctx, cols))
+    assert not verify_morphism(bad, require_iso=True).passed
+    return bad
+
+
+def _corrupt_swap(monkeypatch):
+    swap = dim7._swap
+    monkeypatch.setattr(dim7, "_swap", lambda *args: _corrupted(swap(*args)))
+
+
+def _corrupt_diagonalize(monkeypatch):
+    diagonalize = dim7._diagonalize
+
+    def corrupt(*args):
+        q, m = diagonalize(*args)
+        return q, _corrupted(m)
+
+    monkeypatch.setattr(dim7, "_diagonalize", corrupt)
+
+
+def _corrupt_kill(monkeypatch):
+    kill = dim7.kill_q
+    monkeypatch.setattr(dim7, "kill_q", lambda *args: _corrupted(kill(*args)))
+
+
+@pytest.mark.parametrize("what, corrupt, uses", [
+    ("generator swap", _corrupt_swap, lambda c: c.h and not c.k),
+    ("diagonalizing map", _corrupt_diagonalize, lambda c: c.h or c.k),
+    ("parameter-killing map", _corrupt_kill, lambda c: True),
+])
+def test_corrupted_step_is_named(what, corrupt, uses, monkeypatch):
+    # the steps are checked through the composite; a corrupted one still
+    # names itself, ahead of the composite
+    ctx = field(4)
+    rng = random.Random(67)
+    inputs = []
+    for h, k, p in [(0, 0, 0), (0x3, 0, 0x5), (0x1, 0, 0), (0xf, 0, 0x2), (0x2, 0x3, 0x7), (0x3, 0x3, 0xb)]:
+        d = make_D(ctx, h, k, p)
+        inputs += [d, change_basis(d, _random_unit_basis(d, rng))[0]]
+    inputs = [a for a in inputs if uses(classify7(a))]
+    assert len(inputs) >= 3
+    corrupt(monkeypatch)
+    for a in inputs:
+        with pytest.raises(TheoremViolation, match="^" + re.escape(f"{what} fails to verify: [")):
+            normalize7(a)

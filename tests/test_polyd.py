@@ -123,6 +123,21 @@ def test_mono_mul_matches_word_sort_random():
             assert pa.mono_mul(m1, m2) == sorted_mono_mul(r, m1, m2, memo), (m1, m2)
 
 
+def test_mul_memo_stays_bounded_on_a_long_product(monkeypatch):
+    # each factor of x1 x1 ... x1 multiplies a new pair of monomials
+    made = []
+    init = PAlgebra.__init__
+    monkeypatch.setattr(PAlgebra, "__init__", lambda pa, *args: made.append(pa) or init(pa, *args))
+    with pytest.raises(DegreeOverflow, match="relation 1 has degree 20000, above the bound 2"):
+        parse_presentation("P(1,0) / [" + " ".join(["x1"] * 20000) + "] @ deg 2", field(1))
+    (pa,) = made
+    assert 0 < len(pa._mul_memo) <= polyd.MUL_MEMO_SIZE < 20000
+    # products past a clear are still right
+    x1 = pa.x(1)
+    assert x1.pow(20001) == x1.pow(20000) * x1
+    assert len(pa._mul_memo) <= polyd.MUL_MEMO_SIZE
+
+
 def test_pow_equals_repeated_products():
     rng = random.Random(29)
     for r, s, k in [(2, 1, 1), (3, 0, 4), (1, 2, 8)]:
