@@ -9,8 +9,9 @@ The package implements, over the binary fields GF(2^k) with k <= 16:
   noncommutative block of generators;
 - the classification machinery for the 7-dimensional noncommutative
   family, normalizing any member onto a single canonical model;
-- Lie algebras in the same category, universal envelopes, straightening
-  to standard monomials and a basis theorem verifier;
+- Lie algebras in the same category, straightening tensor words to the
+  standard monomials of the universal envelope, and a basis theorem
+  verifier;
 - a small CLI (``dalg``) over text files and a presentation DSL.
 """
 
@@ -72,7 +73,6 @@ from .ideals import (
     DIdeal,
     close,
     ideal_intersect,
-    ideal_power,
     ideal_product,
     ideal_sum,
     is_coprime,
@@ -104,7 +104,6 @@ from .structure import (
     jacobson_radical,
     maximal_ideals,
     nilradical,
-    primitive_idempotents,
 )
 from .lie import (
     LieAlgebra2,
@@ -125,7 +124,6 @@ from .pbw import (
     standard_count,
     standard_words,
     verify_pbw,
-    word_defect,
 )
 from .formats import dumps, loads
 from .dsl import parse_presentation, to_source

@@ -55,7 +55,7 @@ stale.  Callers share the report and must not mutate it.
 :func:`verify_morphism` starts no ``verify``: it reads J only when both
 endpoints already hold a passing report.  Passing reports are passed on
 by :func:`embed_algebra` (an injective ring map keeps every law, and it
-passes J on too), :func:`dalg.dim7.make_D` (the family proof),
+passes J on too), :func:`dalg.dim7.make_D` (the family proof, and J),
 :func:`subalgebra` (a span closed under products and d keeps the
 multilinear laws; the unit laws and d(1) = 0 are checked) and
 :func:`direct_product_many` (every law holds blockwise, and products and
@@ -244,12 +244,6 @@ class StructureConstants:
         v = [0] * self.n
         v[i] = 1
         return v
-
-    def zero_vec(self) -> Vec:
-        return [0] * self.n
-
-    def rand_vec(self, rng) -> Vec:
-        return [self.ctx.rand(rng) for _ in range(self.n)]
 
     def ker_d(self) -> Subspace:
         return Subspace(self.ctx, self.n, nullspace_rows(self.ctx, self.dmat.rows, self.n))

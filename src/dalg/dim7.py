@@ -100,7 +100,7 @@ def _prove_family(base: DAlgebra, parts: tuple) -> AxiomReport:
             continue
         rep = _member(gf4, base, parts, h, k, p).verify()
         if not rep.passed:
-            raise TheoremViolation(f"D({h},{k},{p}) over GF(4) fails axioms: {rep.failures[:1]}")
+            raise TheoremViolation(f"D({h},{k},{p}) over GF(4) fails axioms: {rep.failures[0]}")
     return rep
 
 
@@ -145,9 +145,14 @@ def make_D(ctx: FieldCtx, h: Fe, k: Fe, p: Fe) -> DAlgebra:
 
     Built as T0 + h Th + k Tk + p Tp from :func:`_family_parts`, whose
     proof on 10 members over GF(4) gives every member its passing report,
-    so no member is scanned on its own.  The cache keeps the 16 most recently used, so
-    one normalization sees the same D(0, 0, 0) object (and its memoised
-    generators) throughout while a long run does not grow it.
+    so no member is scanned on its own.  It also gets J = [3, 4] (x1, x2)
+    for every parameter: ``generators`` tries x1 first, the first e_j with
+    d != 0; closing 1, x1 under d and left multiplication by x1 gives
+    1, x1, xi1, h xi1 xi2 (x1 x1 = h xi1 xi2, x1 xi1 = 0), so x2 joins;
+    then the span holds xi2 = d(x2), w = x1 xi2 = xi1 x2 and xi1 xi2 =
+    d(w), so it is all of D.  The cache keeps the 16 most recently used,
+    so one normalization sees the same D(0, 0, 0) object throughout while
+    a long run does not grow it.
     """
     key = (id(ctx), h, k, p)
     hit = _make_cache.pop(key, None)
@@ -159,6 +164,7 @@ def make_D(ctx: FieldCtx, h: Fe, k: Fe, p: Fe) -> DAlgebra:
     base, parts, proof = _family_parts()
     alg = _member(ctx, base, parts, h, k, p)
     alg._report = proof
+    alg._gens = [3, 4]
     _make_cache[key] = (ctx, alg)
     if len(_make_cache) > _MAKE_CACHE_SIZE:
         del _make_cache[next(iter(_make_cache))]
@@ -218,7 +224,7 @@ def classify7(a: DAlgebra) -> CanonicalForm7:
         raise NotApplicable("classification applies to dimension 7 only")
     rep = a.verify()
     if not rep.passed:
-        raise NotApplicable(f"input fails the axioms: {rep.failures[:1]}")
+        raise NotApplicable(f"input fails the axioms: {rep.failures[0]}")
     witness = a.is_commutative()
     if witness is None:
         raise NotApplicable("algebra is commutative; nothing to classify")
@@ -271,7 +277,7 @@ def classify7(a: DAlgebra) -> CanonicalForm7:
     phi = Morphism(dd, a, Matrix.from_cols(ctx, cols))
     mrep = verify_morphism(phi, require_iso=True)
     if not mrep.passed:
-        raise TheoremViolation(f"canonical map fails to verify: {mrep.failures[:1]}")
+        raise TheoremViolation(f"canonical map fails to verify: {mrep.failures[0]}")
     coeffs = {"a3": a3, "b3": b3, "g3": g3, "h3": h3, "k3": k3, "p3": p3}
     a._canonical7 = (h, k, p, phi.mat, witness, coeffs)
     return CanonicalForm7(h, k, p, phi, witness, coeffs)
@@ -299,7 +305,7 @@ def _seed_embedded(form: CanonicalForm7, big_a: DAlgebra, embed) -> None:
     phi = Morphism(make_D(big, h, k, p), big_a, mat)
     rep = verify_morphism(phi, require_iso=True)
     if not rep.passed:
-        raise TheoremViolation(f"embedded canonical map fails to verify: {rep.failures[:1]}")
+        raise TheoremViolation(f"embedded canonical map fails to verify: {rep.failures[0]}")
     coeffs = {name: embed(c) for name, c in form.coeffs.items()}
     big_a._canonical7 = (h, k, p, mat, form.witness, coeffs)
 
@@ -436,8 +442,8 @@ def normalize7(a: DAlgebra, allow_extend: bool = True) -> Normal7Result:
         for what, m in steps + [("parameter-killing map", m3)]:
             srep = verify_morphism(m, require_iso=True)
             if not srep.passed:
-                raise TheoremViolation(f"{what} fails to verify: {srep.failures[:1]}")
-        raise TheoremViolation(f"normalization chain fails to verify: {rep.failures[:1]}")
+                raise TheoremViolation(f"{what} fails to verify: {srep.failures[0]}")
+        raise TheoremViolation(f"normalization chain fails to verify: {rep.failures[0]}")
     return Normal7Result(
         algebra=a,
         canonical=make_D(ctx, 0, 0, 0),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .algebra import AssocAlgebra2
-from .errors import AmbientMismatch, NotApplicable, TheoremViolation
+from .errors import AmbientMismatch, TheoremViolation
 from .gf2k import Fe
 from .linalg import Subspace
 
@@ -22,7 +22,6 @@ __all__ = [
     "ideal_sum",
     "ideal_intersect",
     "ideal_product",
-    "ideal_power",
     "is_coprime",
     "nilpotency_index",
 ]
@@ -106,15 +105,6 @@ def ideal_product(i: DIdeal, j: DIdeal) -> DIdeal:
     a = _same_ambient(i, j)
     prods = [a.mul(u, v) for u in i.space.rows for v in j.space.rows]
     return close(a, prods)
-
-
-def ideal_power(i: DIdeal, m: int) -> DIdeal:
-    if m < 1:
-        raise NotApplicable("ideal powers start at 1")
-    out = i
-    for _ in range(m - 1):
-        out = ideal_product(i, out)
-    return out
 
 
 def is_coprime(i: DIdeal, j: DIdeal) -> bool:

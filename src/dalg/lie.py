@@ -45,10 +45,6 @@ class LieAlgebra2(StructureConstants):
     def bracket(self, a: Sequence[Fe], b: Sequence[Fe]) -> Vec:
         return self._product(a, b)
 
-    def ad_matrix(self, x: Sequence[Fe]) -> Matrix:
-        cols = [self.bracket(x, self.basis_vec(j)) for j in range(self.n)]
-        return Matrix.from_cols(self.ctx, cols, self.n)
-
     def is_abelian(self) -> bool:
         return all(not any(v) for row in self.tensor for v in row)
 

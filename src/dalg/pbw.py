@@ -16,6 +16,7 @@ order that compares degree first, then the number of letters with
 nonzero d (d(b) d(a) has none, since Im(d) lies in Ker(d)), then the
 inversions among rearrangements of the same letters.  That order is
 compatible with concatenation and well-founded, so rewriting terminates.
+Products in U concatenate words and straighten them (``straighten_elem``).
 
 Bergman's diamond lemma ("The diamond lemma for ring theory", Adv. Math.
 29, 1978) turns two finite checks into the PBW theorem in every degree,
@@ -46,7 +47,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .algebra import AxiomFailure, AxiomReport, _nonzero
-from .errors import DegreeOverflow, IndexOutOfRange, NotApplicable
+from .errors import IndexOutOfRange, NotApplicable
 from .gf2k import Fe
 from .lie import LieAlgebra2
 from .linalg import Matrix, Subspace, solve_lex_least
@@ -55,7 +56,6 @@ __all__ = [
     "Word",
     "TElem",
     "StraightenCtx",
-    "word_defect",
     "ordered_for_straightening",
     "standard_words",
     "standard_count",
@@ -68,15 +68,6 @@ __all__ = [
 
 Word = tuple
 
-def word_defect(w: Word) -> int:
-    """Number of out-of-order pairs (not necessarily adjacent)."""
-    return sum(
-        1
-        for a in range(len(w))
-        for b in range(a + 1, len(w))
-        if w[a] > w[b]
-    )
-
 
 class TElem:
     """A combination of tensor words with nonzero field coefficients."""
@@ -87,16 +78,8 @@ class TElem:
         self.terms = {tuple(w): c for w, c in dict(terms or {}).items() if c}
 
     @classmethod
-    def zero(cls) -> "TElem":
-        return cls()
-
-    @classmethod
     def from_word(cls, w: Sequence[int], coeff: Fe = 1) -> "TElem":
         return cls({tuple(w): coeff})
-
-    @property
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -168,20 +151,6 @@ class StraightenCtx:
         self._square_brackets = [_nonzero(L.bracket(w, w)) for w in self.preimages]
         self._memo: dict = {}
 
-    # -- word predicates ----------------------------------------------------
-
-    def k_degree(self, w: Word) -> int:
-        dterms = self._dterms
-        return sum(1 for i in w if dterms[i])
-
-    def is_standard(self, w: Word) -> bool:
-        for a, b in zip(w, w[1:]):
-            if a > b:
-                return False
-            if a == b and a < self.kk:
-                return False
-        return True
-
     # -- straightening ------------------------------------------------------
 
     def straighten(self, w: Sequence[int]) -> TElem:
@@ -192,16 +161,12 @@ class StraightenCtx:
         return TElem(self._straighten(word))
 
     def straighten_elem(self, t: TElem) -> TElem:
+        mul = self.ctx.mul
         acc: dict = {}
         for w, c in t.terms.items():
-            self._accumulate(acc, c, w)
+            for sw, sc in self._straighten(w).items():
+                _add_into(acc, sw, mul(c, sc))
         return TElem(acc)
-
-    def _accumulate(self, acc: dict, c: Fe, word: Word) -> None:
-        """Add c times the normal form of word into acc."""
-        mul = self.ctx.mul
-        for sw, sc in self._straighten(word).items():
-            _add_into(acc, sw, mul(c, sc))
 
     def _straighten(self, word: Word) -> dict:
         """Normal form of word, filling the memo bottom-up.
@@ -271,27 +236,6 @@ class StraightenCtx:
                 out.append((head + (x, y) + tail, mul(cx, cy)))
         out.extend((head + (m,) + tail, c) for m, c in self.L.terms[a][b])
         return out
-
-    # -- enveloping-algebra arithmetic --------------------------------------
-
-    def u_mul(self, a: TElem, b: TElem, bound: int) -> TElem:
-        if a.degree + b.degree > bound:
-            raise DegreeOverflow(
-                f"product degree {a.degree + b.degree} exceeds bound {bound}"
-            )
-        mul = self.ctx.mul
-        acc: dict = {}
-        for wa, ca in a.terms.items():
-            for wb, cb in b.terms.items():
-                self._accumulate(acc, mul(ca, cb), wa + wb)
-        return TElem(acc)
-
-    def u_one(self) -> TElem:
-        return TElem.from_word(())
-
-    def include(self, v: Sequence[Fe]) -> TElem:
-        """The degree-1 element with the coordinates of v."""
-        return TElem({(i,): c for i, c in enumerate(v) if c})
 
 
 def ordered_for_straightening(L: LieAlgebra2) -> tuple[StraightenCtx, bool]:

@@ -337,6 +337,11 @@ def _tuples_bounded(length: int, total: int) -> Iterable[tuple[int, ...]]:
 # workload reaches is 501.
 MAX_MONOMIALS = 4096
 
+# quotient_to_dalgebra refuses a quotient whose dense tensor holds more than
+# this many (n^3) structure constants: n = 200 (x1^100 @ deg 202) finishes,
+# n = 400 (x1^200 @ deg 402) ran out of a 1 GB address space building it.
+MAX_TENSOR_ENTRIES = 1 << 23
+
 # Pairs PAlgebra.mono_mul keeps before it clears its memo whole; the
 # cli_quotient benchmark inputs (seeds 1 to 10) keep at most 1,300.
 MUL_MEMO_SIZE = 1 << 14
@@ -389,7 +394,8 @@ def quotient_to_dalgebra(pres: Presentation) -> DAlgebra:
     (a relation multiple cut off by the bound can leave it
     non-associative), else the bound is too small and
     :class:`NotClosedAtBound` is raised.  Relations whose d does not reduce
-    to zero raise :class:`RelationsNotDClosed`.
+    to zero raise :class:`RelationsNotDClosed`, and more than
+    ``MAX_TENSOR_ENTRIES`` structure constants :class:`NotApplicable`.
 
     The result carries ``basis_labels`` (one monomial per basis vector) and
     ``presentation``.
@@ -406,14 +412,15 @@ def quotient_to_dalgebra(pres: Presentation) -> DAlgebra:
     # then the smallest monomials and the unit survives at index 0
     rev = {m: nm - 1 - i for i, m in enumerate(monos)}
 
+    def beyond(who: str) -> NotClosedAtBound:
+        return NotClosedAtBound(f"{who} has degree beyond the bound {bound}; raise the bound")
+
     def coords(el: PElem, who: str) -> list[Fe]:
         v = [0] * nm
         for m, c in el.terms.items():
             j = rev.get(m)
             if j is None:
-                raise NotClosedAtBound(
-                    f"{who} has degree beyond the bound {bound}; raise the bound"
-                )
+                raise beyond(who)
             v[j] = c
         return v
 
@@ -439,6 +446,12 @@ def quotient_to_dalgebra(pres: Presentation) -> DAlgebra:
     basis = [m for m in monos if rev[m] not in pivots]
     if not basis or basis[0] != pa.one_mono():
         raise NotApplicable("relations collapse the unit monomial; no bounded quotient")
+    n = len(basis)
+    if n**3 > MAX_TENSOR_ENTRIES:
+        raise NotApplicable(
+            f"the quotient has dimension {n}, so {n**3} structure constants,"
+            f" more than the {MAX_TENSOR_ENTRIES} this package stores; lower the bound"
+        )
 
     basis_cols = [rev[m] for m in basis]
 
@@ -451,8 +464,11 @@ def quotient_to_dalgebra(pres: Presentation) -> DAlgebra:
         ei = PElem(pa, {mi: 1})
         row = []
         for mj in basis:
-            prod = ei * PElem(pa, {mj: 1})
-            row.append(coset_coords(prod, f"product {mono_label(mi)} * {mono_label(mj)}"))
+            try:
+                row.append(coset_coords(ei * PElem(pa, {mj: 1}), "product"))
+            except NotClosedAtBound:
+                # the labels are formatted only for the message
+                raise beyond(f"product {mono_label(mi)} * {mono_label(mj)}") from None
         tensor.append(row)
     dcols = [coset_coords(PElem(pa, {m: 1}).d(), "d image") for m in basis]
     alg = DAlgebra(ctx, tensor, Matrix.from_cols(ctx, dcols), 0)

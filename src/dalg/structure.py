@@ -3,12 +3,13 @@
 The kernel of d is a central commutative subalgebra, and everything here
 runs through it: its primitive idempotents cut the algebra into local
 factors, the characters factor through them, and their kernels are the
-maximal ideals.  The nilradical, the idempotents and the characters all
-come from one kind of column, the Frobenius powers v^(2^t) of a basis,
-2^t at least its dimension: e_i^(2^t) for the nilradical, and for the
-characters the powers of the canonical basis of Ker(d).  The defect
-(dim Ker - dim Im) bounds the number of factors, and defect-1 algebras
-carry a rigid normal basis.
+maximal ideals.  The nilradical and the characters come from one kind of
+column, the Frobenius powers v^(2^t) of a basis, 2^t at least its
+dimension: e_i^(2^t) for the nilradical, and for the characters the
+powers of the canonical basis of Ker(d).  One split of those powers gives
+the primitive idempotents, the characters through them and so the
+factors of :func:`decompose`.  The defect (dim Ker - dim Im) bounds the
+number of factors, and defect-1 algebras carry a rigid normal basis.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .unipoly import UniPoly, poly_roots, squarefree_part
 
 __all__ = [
     "nilradical",
-    "primitive_idempotents",
     "Character",
     "characters",
     "maximal_ideals",
@@ -111,8 +111,8 @@ def _times(a: DAlgebra, e) -> Matrix:
 def _split_idempotents(a: DAlgebra, t: int, cols: list) -> list:
     """Primitive idempotents e, each with the scalars c where g^q e = c e.
 
-    cols holds g^q, q = 2^t >= dim B, for a basis g of a commutative
-    subalgebra B holding the idempotents (a itself, or Ker(d)).  On B,
+    cols holds g^q, q = 2^t >= dim Ker(d), for the canonical basis g of
+    Ker(d), the commutative subalgebra holding every idempotent.  On it,
     x -> x^q is a ring map that kills the nilradical, so 1 and the columns
     span a copy of the semisimple quotient, and an idempotent e has e^q = e.
     e is primitive when its corner in that copy is F e; then g^q e is
@@ -190,15 +190,6 @@ def _split_idempotents(a: DAlgebra, t: int, cols: list) -> list:
     if total != unit:
         raise TheoremViolation("primitive idempotents do not sum to 1")
     return out
-
-
-def primitive_idempotents(a: DAlgebra) -> list:
-    """Primitive idempotents of a commutative algebra, sorted by coordinates,
-    split out of the powers e_i^(2^t) by :func:`_split_idempotents`."""
-    if a.is_commutative() is not None:
-        raise NotCommutative("primitive idempotents need a commutative algebra")
-    t, cols = _frobenius_powers(a, [a.basis_vec(i) for i in range(a.n)])
-    return [e for e, _ in _split_idempotents(a, t, cols)]
 
 
 @dataclass
@@ -322,7 +313,7 @@ def decompose(a: DAlgebra) -> Decomposition:
     iso = Morphism(a, prod, Matrix.from_cols(ctx, iso_cols))
     rep = verify_morphism(iso, require_iso=True)
     if not rep.passed:
-        raise TheoremViolation(f"product splitting fails to verify: {rep.failures[:1]}")
+        raise TheoremViolation(f"product splitting fails to verify: {rep.failures[0]}")
     df = defect(a)
     if len(factors) > df:
         raise TheoremViolation(f"more local factors than the defect allows: {len(factors)} > {df}")

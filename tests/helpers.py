@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from dalg import CoordSolver, DAlgebra, Inconsistent, Matrix, Morphism, Subspace, field
+from dalg import AssocAlgebra2, CoordSolver, DAlgebra, Inconsistent, Matrix, Morphism, Subspace, field
 from dalg.algebra import AxiomReport, _contract, _nonzero
 from dalg.linalg import rref_rows
 from dalg.gf2k import FieldCtx
@@ -18,6 +18,23 @@ def field_trace(ctx: FieldCtx, x: int) -> int:
         acc ^= x
         x = ctx.sq(x)
     return acc
+
+
+def rand_vec(a, rng) -> list:
+    """A uniformly random vector of a's ambient space, drawn from rng."""
+    return [a.ctx.rand(rng) for _ in range(a.n)]
+
+
+def unital_gf2_dim3(cls=AssocAlgebra2):
+    """Every unital product on GF(2)^3 with e_0 = 1 and d = 0: the four
+    products of e_1, e_2 range over all 2^12 choices.  Each call builds
+    fresh algebras, so no memoised report or J carries over."""
+    ctx = field(1)
+    for bits in range(1 << 12):
+        tensor = [[[int(0 in (i, j) and m == i + j) for m in range(3)] for j in range(3)] for i in range(3)]
+        for s, (i, j) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2)]):
+            tensor[i][j] = [bits >> (3 * s + m) & 1 for m in range(3)]
+        yield cls(ctx, tensor, Matrix.zeros(ctx, 3, 3))
 
 
 def truncated_poly_algebra(ctx: FieldCtx, m: int) -> DAlgebra:
@@ -166,7 +183,7 @@ def dense_rebase(a: DAlgebra, rng) -> DAlgebra:
     from dalg import Subspace, change_basis
 
     while True:
-        rows = [a.unit_vec()] + [a.rand_vec(rng) for _ in range(a.n - 1)]
+        rows = [a.unit_vec()] + [rand_vec(a, rng) for _ in range(a.n - 1)]
         if Subspace(a.ctx, a.n, rows).dim == a.n:
             return change_basis(a, rows)[0]
 

@@ -23,9 +23,11 @@ from helpers import (
     all_products_generators,
     corpus_small,
     dense_rebase,
+    rand_vec,
     right_product_span,
     tiny_d_algebra,
     truncated_poly_algebra,
+    unital_gf2_dim3,
 )
 
 
@@ -34,18 +36,7 @@ def dim3_gf2_algebras() -> tuple:
     """Every unital GF(2) algebra on 1, e1, e2 with d(1) = 0 that passes
     verify, every such d tried on every associative tensor."""
     ctx = field(1)
-
-    def tensor_of(bits):
-        t = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-        for i in range(3):
-            t[0][i][i] = t[i][0][i] = 1
-        for s, (i, j) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2)]):
-            t[i][j] = [bits >> (3 * s + m) & 1 for m in range(3)]
-        return t
-
-    zero = Matrix.zeros(ctx, 3, 3)
-    tensors = [tensor_of(b) for b in range(1 << 12)]
-    tensors = [t for t in tensors if AssocAlgebra2(ctx, t, zero).verify().passed]
+    tensors = [a.tensor for a in unital_gf2_dim3() if a.verify().passed]
     out = []
     for t in tensors:
         for bits in range(1 << 6):
@@ -139,13 +130,13 @@ def test_not_generating_matches_right_products():
         for pick in picks:
             check_generating(a, [a.basis_vec(j) for j in pick], call_present=a.n <= 8)
         # random dense vectors, not basis vectors
-        check_generating(a, [a.rand_vec(rng) for _ in range(2)], call_present=False)
+        check_generating(a, [rand_vec(a, rng) for _ in range(2)], call_present=False)
 
 
 def test_closure_is_monotone_and_holds_its_vectors():
     a = verified_inputs()[1]
     rng = random.Random(3)
-    v, g = a.rand_vec(rng), a.rand_vec(rng)
+    v, g = rand_vec(a, rng), rand_vec(a, rng)
     small = a.closure([v], [])
     big = a.closure([v], [g])
     assert small.contains(v) and small.contains(a.d(v))

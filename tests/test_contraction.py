@@ -42,11 +42,13 @@ from helpers import (
     commutative_tensor,
     corpus_small,
     dense_rebase,
+    rand_vec,
     random_dim7,
     rebuilt,
     square_corrupted,
     tiny_d_algebra,
     truncated_poly_algebra,
+    unital_gf2_dim3,
 )
 
 
@@ -352,17 +354,6 @@ def test_verify_matches_dense_loops(k, middle_sizes):
     assert broken >= 6
 
 
-def unital_gf2_dim3(cls=AssocAlgebra2):
-    """Every unital product on GF(2)^3 with e_0 = 1: the four products of
-    e_1, e_2 range over all 2^12 choices."""
-    ctx = field(1)
-    for bits in range(1 << 12):
-        tensor = [[[int(0 in (i, j) and m == i + j) for m in range(3)] for j in range(3)] for i in range(3)]
-        for s, (i, j) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2)]):
-            tensor[i][j] = [bits >> (3 * s + m) & 1 for m in range(3)]
-        yield cls(ctx, tensor, Matrix.zeros(ctx, 3, 3))
-
-
 def every_d(a):
     """a with each d on GF(2)^3 that has d(1) = 0."""
     ctx = a.ctx
@@ -430,9 +421,9 @@ def test_twisted_law_falls_back_on_commutative_algebras_with_d(k, twisted_rows):
 
 def random_morphism(src, tgt, rng):
     ctx = src.ctx
-    cols = [tgt.unit_vec()] + [tgt.rand_vec(rng) for _ in range(src.n - 1)]
+    cols = [tgt.unit_vec()] + [rand_vec(tgt, rng) for _ in range(src.n - 1)]
     if rng.random() < 0.3:
-        cols[0] = tgt.rand_vec(rng)
+        cols[0] = rand_vec(tgt, rng)
     return Morphism(src, tgt, Matrix.from_cols(ctx, cols, tgt.n))
 
 
@@ -449,7 +440,7 @@ def test_verify_morphism_matches_dense_loops(k):
         # d-equivariant only when d is already 0
         flat = type(a)(ctx, a.tensor, Matrix.zeros(ctx, a.n, a.n), a.unit_idx)
         cases.append(Morphism(a, flat, Matrix.identity(ctx, a.n)))
-        rows = [a.unit_vec()] + [a.rand_vec(rng) for _ in range(a.n - 1)]
+        rows = [a.unit_vec()] + [rand_vec(a, rng) for _ in range(a.n - 1)]
         if Subspace(ctx, a.n, rows).dim != a.n:
             continue
         b, phi = change_basis(a, rows)
@@ -506,7 +497,7 @@ def test_verify_morphism_on_generators_matches_dense_loops(k, multiplicative_row
     cases = []  # (morphism, whether the scan may read the rows in J only)
     unverified = []
     for a in algebra_inputs(k):
-        rows = [a.unit_vec()] + [a.rand_vec(rng) for _ in range(a.n - 1)]
+        rows = [a.unit_vec()] + [rand_vec(a, rng) for _ in range(a.n - 1)]
         if Subspace(ctx, a.n, rows).dim != a.n:
             continue
         fresh, phi_fresh = change_basis(a, rows)

@@ -25,7 +25,7 @@ from dalg import dim7
 from dalg.algebra import vec_xor
 from dalg.dim7 import _quotient_D, classify7, kill_q, make_D, normalize7, reduce_to_q
 
-from helpers import truncated_poly_algebra
+from helpers import rand_vec, square_corrupted, truncated_poly_algebra
 from test_contraction import dense_verify
 
 
@@ -95,6 +95,19 @@ def test_make_D_members_carry_the_family_proof(k):
         copy = DAlgebra(ctx, d.tensor, d.dmat.rows, d.unit_idx)
         assert dense_verify(copy).passed
         assert str(memo) == str(copy.verify())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+def test_make_D_members_carry_their_generators(k):
+    # every member holds J = [3, 4] (x1, x2) unscanned; a fresh copy computes it
+    ctx = field(k)
+    rng = random.Random(950 + k)
+    triples = [(0, 0, 0)] + [(ctx.rand(rng), ctx.rand(rng), ctx.rand(rng)) for _ in range(8)]
+    for h, kk, p in triples:
+        d = make_D(ctx, h, kk, p)
+        assert d._gens == [3, 4]
+        fresh = DAlgebra(ctx, d.tensor, d.dmat.rows, d.unit_idx)
+        assert fresh.generators() == [3, 4]
 
 
 def test_family_proof_points_are_unisolvent():
@@ -189,7 +202,7 @@ def _random_unit_basis(a, rng):
     basis = [a.unit_vec()]
     span = Subspace(a.ctx, a.n, basis)
     while len(basis) < a.n:
-        v = a.rand_vec(rng)
+        v = rand_vec(a, rng)
         if not span.contains(v):
             basis.append(v)
             span = Subspace(a.ctx, a.n, basis)
@@ -202,6 +215,14 @@ def test_classify_rejects_commutative_and_wrong_dim():
         classify7(truncated_poly_algebra(ctx, 7))
     with pytest.raises(NotApplicable):
         classify7(truncated_poly_algebra(ctx, 5))
+
+
+def test_classify_names_the_failing_law():
+    # the message carries the failure's own text, not a list repr
+    bad = square_corrupted(make_D(field(4), 1, 2, 3), 1, 0, 1)
+    with pytest.raises(NotApplicable, match=r"^input fails the axioms: \w+ fails at \(") as info:
+        classify7(bad)
+    assert "AxiomFailure" not in str(info.value)
 
 
 def test_reduce_to_q_solvable():
@@ -407,5 +428,5 @@ def test_corrupted_step_is_named(what, corrupt, uses, monkeypatch):
     assert len(inputs) >= 3
     corrupt(monkeypatch)
     for a in inputs:
-        with pytest.raises(TheoremViolation, match="^" + re.escape(f"{what} fails to verify: [")):
+        with pytest.raises(TheoremViolation, match="^" + re.escape(f"{what} fails to verify: ") + r"\w+ fails at \("):
             normalize7(a)

@@ -34,14 +34,15 @@ from dalg import (
 )
 
 from helpers import (
-    TransformSolver,
     batch_subspace,
     corpus_small,
     dense_rebase,
+    rand_vec,
     rebuild_extend_basis,
     restart_closure,
     restart_generators,
     tiny_d_algebra,
+    TransformSolver,
     truncated_poly_algebra,
 )
 
@@ -184,8 +185,8 @@ def test_closure_matches_the_restart_oracle():
     rng = random.Random(0xC10)
     for a in corpus_small():
         for _ in range(2):
-            vectors = [a.rand_vec(rng) for _ in range(rng.randrange(1, 3))]
-            left = [a.rand_vec(rng) for _ in range(rng.randrange(0, 3))]
+            vectors = [rand_vec(a, rng) for _ in range(rng.randrange(1, 3))]
+            left = [rand_vec(a, rng) for _ in range(rng.randrange(0, 3))]
             got, want = a.closure(vectors, left), restart_closure(a, vectors, left)
             assert (got.rows, got.pivots) == (want.rows, want.pivots)
 

@@ -23,7 +23,7 @@ from dalg import (
     verify_lie,
 )
 from dalg.dim7 import make_D
-from helpers import tiny_d_algebra, truncated_poly_algebra
+from helpers import rand_vec, tiny_d_algebra, truncated_poly_algebra
 
 
 def same_algebra(a, b):
@@ -82,7 +82,7 @@ def random_valid_algebra(rng):
     # random change of basis keeping the unit on a standard vector
     n = base.n
     while True:
-        rows = [base.unit_vec()] + [base.rand_vec(rng) for _ in range(n - 1)]
+        rows = [base.unit_vec()] + [rand_vec(base, rng) for _ in range(n - 1)]
         if Subspace(ctx, n, rows).dim == n:
             break
     moved, _ = change_basis(base, rows)

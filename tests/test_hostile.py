@@ -87,6 +87,12 @@ CASES = {
         f"message: P(1,0) has {2 * BIG + 1} normal monomials of degree at most {BIG},"
         " more than the 4096 this package enumerates; lower the bound",
     ),
+    "x1^200 at deg 402": (
+        ["invariants"],
+        "P(1,0) / [x1^200] @ deg 402",
+        "message: the quotient has dimension 400, so 64000000 structure constants,"
+        " more than the 8388608 this package stores; lower the bound",
+    ),
     "index out of range": (
         ["invariants"],
         "P(2,0) / [x3] @ deg 2",

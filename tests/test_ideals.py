@@ -10,14 +10,13 @@ from dalg import (
     direct_product,
     field,
     ideal_intersect,
-    ideal_power,
     ideal_product,
     ideal_sum,
     is_coprime,
     nilpotency_index,
 )
 
-from helpers import dense_rebase, tiny_d_algebra, truncated_poly_algebra
+from helpers import dense_rebase, rand_vec, tiny_d_algebra, truncated_poly_algebra
 
 
 def test_close_adds_d_image():
@@ -40,12 +39,12 @@ def test_close_fixpoint_matches_brute_force():
     # closure = span of all words e_w * g reachable by repeated left mult
     rng = random.Random(11)
     t5 = truncated_poly_algebra(field(4), 5)
-    cases = [(t5, t5.rand_vec(rng)) for _ in range(20)]
+    cases = [(t5, rand_vec(t5, rng)) for _ in range(20)]
     # a dense GF(2^16) product with a nonzero d; d(g) generates a proper ideal
     k16 = field(16)
     p, _, _ = direct_product(tiny_d_algebra(k16), truncated_poly_algebra(k16, 3))
     dense = dense_rebase(p, random.Random(16))
-    cases += [(dense, v) for g in [dense.rand_vec(rng) for _ in range(3)] for v in (g, dense.d(g))]
+    cases += [(dense, v) for g in [rand_vec(dense, rng) for _ in range(3)] for v in (g, dense.d(g))]
     for a, g in cases:
         i = close(a, [g])
         brute = Subspace(a.ctx, a.n, [g])
@@ -62,12 +61,12 @@ def test_product_commutes_and_power():
     rng = random.Random(5)
     a = truncated_poly_algebra(field(8), 5)
     for _ in range(15):
-        i = close(a, [a.rand_vec(rng)])
-        j = close(a, [a.rand_vec(rng)])
+        i = close(a, [rand_vec(a, rng)])
+        j = close(a, [rand_vec(a, rng)])
         assert ideal_product(i, j) == ideal_product(j, i)
     t = close(a, [a.basis_vec(1)])
-    assert ideal_power(t, 2).dim == 3
-    assert ideal_power(t, 5).dim == 0
+    assert ideal_product(t, t).dim == 3
+    assert nilpotency_index(t) == 5
 
 
 def test_sum_and_intersect():

@@ -33,7 +33,6 @@ from dalg.structure import (
     jacobson_radical,
     maximal_ideals,
     nilradical,
-    primitive_idempotents,
 )
 from dalg.algebra import defect
 
@@ -42,6 +41,7 @@ from helpers import (
     extension_field_algebra,
     field_as_algebra,
     gf4_over_gf2_algebra,
+    rand_vec,
     tiny_d_algebra,
     truncated_poly_algebra,
 )
@@ -168,11 +168,17 @@ def _product_cases(k, seed):
         sparse, _ = direct_product_many(factors)
         yield sparse
         while True:
-            rows = [sparse.unit_vec()] + [sparse.rand_vec(r) for _ in range(sparse.n - 1)]
+            rows = [sparse.unit_vec()] + [rand_vec(sparse, r) for _ in range(sparse.n - 1)]
             if Subspace(ctx, sparse.n, rows).dim == sparse.n:
                 break
         dense, _ = change_basis(sparse, rows)
         yield dense
+
+
+def idempotents(a):
+    """The primitive idempotents, sorted: on a d-algebra they all lie in
+    Ker(d), so they are those the characters factor through."""
+    return sorted(c.idempotent for c in characters(a))
 
 
 def former_decompose_nilradical_inputs(a, factors):
@@ -185,7 +191,7 @@ def former_decompose_nilradical_inputs(a, factors):
     for alg in [a] + factors:
         kalg, _ = subalgebra(alg, alg.ker_d().rows)
         out.append(kalg)
-        for e in primitive_idempotents(kalg):
+        for e in idempotents(kalg):
             out.append(subalgebra(kalg, _corner_rows(kalg, e), unit=e)[0])
     return out
 
@@ -404,7 +410,7 @@ def nonsplit_cases():
                 a = direct_product_many([ext] + others)[0] if others else ext
                 yield a
                 while True:
-                    rows = [a.unit_vec()] + [a.rand_vec(r) for _ in range(a.n - 1)]
+                    rows = [a.unit_vec()] + [rand_vec(a, r) for _ in range(a.n - 1)]
                     if Subspace(ctx, a.n, rows).dim == a.n:
                         break
                 yield change_basis(a, rows)[0]
@@ -446,30 +452,24 @@ def test_split_matches_quotient_lift_oracle():
             continue
         assert _pairs(characters(a)) == want
         if a.is_commutative() is None:
-            assert primitive_idempotents(a) == quotient_lift_idempotents(a)
+            assert idempotents(a) == quotient_lift_idempotents(a)
         compared += 1
     assert compared >= 120
 
 
 def test_nonsplit_matches_quotient_lift_oracle():
-    # both entry points raise what the former ones raised, word for word;
-    # characters splits Ker(d), primitive_idempotents the whole algebra,
-    # so the two may name different polynomials, as they did before
+    # characters raises what the former entry point raised, word for word
     count = 0
     for a in nonsplit_cases():
-        pairs = [(characters, corner_residue_characters)]
-        if a.is_commutative() is None:
-            pairs.append((primitive_idempotents, quotient_lift_idempotents))
-        for fn, oracle in pairs:
-            with pytest.raises(NonSplit) as got:
-                fn(a)
-            with pytest.raises(NonSplit) as want:
-                oracle(a)
-            assert (str(got.value), got.value.suggested_k) == (
-                str(want.value),
-                want.value.suggested_k,
-            )
-            assert got.value.suggested_k == 2 * a.ctx.k
+        with pytest.raises(NonSplit) as got:
+            characters(a)
+        with pytest.raises(NonSplit) as want:
+            corner_residue_characters(a)
+        assert (str(got.value), got.value.suggested_k) == (
+            str(want.value),
+            want.value.suggested_k,
+        )
+        assert got.value.suggested_k == 2 * a.ctx.k
         count += 1
     assert count >= 40
 
@@ -479,7 +479,7 @@ def test_nonsplit_matches_quotient_lift_oracle():
 
 def test_idempotents_of_local_algebra():
     a = truncated_poly_algebra(field(4), 4)
-    assert primitive_idempotents(a) == [a.unit_vec()]
+    assert idempotents(a) == [a.unit_vec()]
 
 
 def test_idempotents_of_product_lift_through_radical():
@@ -487,7 +487,7 @@ def test_idempotents_of_product_lift_through_radical():
     a, pa, pb = direct_product(
         truncated_poly_algebra(ctx, 2), truncated_poly_algebra(ctx, 3)
     )
-    idems = primitive_idempotents(a)
+    idems = idempotents(a)
     assert len(idems) == 2
     total = [0] * a.n
     for e in idems:
@@ -508,19 +508,19 @@ def test_idempotents_of_triple_product():
     f = field_as_algebra(ctx)
     ab, _, _ = direct_product(f, f)
     abc, _, _ = direct_product(ab, truncated_poly_algebra(ctx, 2))
-    idems = primitive_idempotents(abc)
+    idems = idempotents(abc)
     assert len(idems) == 3
-    assert idems == sorted(idems)
+    assert all(not any(abc.mul(e, f)) for e, f in itertools.combinations(idems, 2))
 
 
 def test_idempotents_nonsplit_then_extend():
     a = gf4_over_gf2_algebra()
     with pytest.raises(NonSplit) as info:
-        primitive_idempotents(a)
+        idempotents(a)
     assert info.value.suggested_k == 2
     big, emb = field_extend(a.ctx)
     a2 = embed_algebra(a, big, emb)
-    idems = primitive_idempotents(a2)
+    idems = idempotents(a2)
     assert len(idems) == 2
     for e in idems:
         assert a2.mul(e, e) == e
