@@ -37,7 +37,7 @@ from .errors import (
     TheoremViolation,
     WrongDefect,
 )
-from .gf2k import Fe, FieldCtx, field, field_extend, fe_sqrt, quad_roots
+from .gf2k import Fe, FieldCtx, field, field_extend, quad_roots
 from .linalg import (
     CoordSolver,
     Matrix,

@@ -59,7 +59,8 @@ passes J on too), :func:`dalg.dim7.make_D` (the family proof, and J),
 :func:`subalgebra` (a span closed under products and d keeps the
 multilinear laws; the unit laws and d(1) = 0 are checked) and
 :func:`direct_product_many` (every law holds blockwise, and products and
-d across factors vanish).
+d across factors vanish).  :func:`dalg.structure.characters` checks each
+character as a morphism onto F, so it relies on them to scan J only.
 
 In an algebra that satisfies the axioms the same span is the
 d-subalgebra J generates: it holds every word in the e_g and d(e_g),
@@ -350,12 +351,8 @@ class AssocAlgebra2(StructureConstants):
         Both maps read term lists: d(u) = sum_a u_a d(e_a) and g u =
         sum_a u_a (g e_a).
         """
-        n, ctx = self.n, self.ctx
-        cols = self._columns()
-        maps = [self._d_terms()] + [
-            [_nonzero(_contract(ctx, [0] * n, _nonzero(g), col)) for col in cols] for g in left
-        ]
-        span = Subspace(ctx, n)
+        maps = [self._d_terms()] + self._right_times(map(_nonzero, left), self._columns())
+        span = Subspace(self.ctx, self.n)
         self._grow(span, vectors, maps)
         return span
 
@@ -399,20 +396,11 @@ class AssocAlgebra2(StructureConstants):
     # -- derived subspaces --------------------------------------------------
 
     def center(self) -> Subspace:
-        # solve x e_i = e_i x for all i: stack (L_i - R_i) and take the kernel
-        rows = []
-        for i in range(self.n):
-            li = self._left_mult_rows(i)
-            ri = self._right_mult_rows(i)
-            rows.extend(vec_xor(a, b) for a, b in zip(li, ri))
-        return Subspace(self.ctx, self.n, nullspace_rows(self.ctx, rows, self.n))
-
-    def _left_mult_rows(self, i: int) -> list[Vec]:
-        # matrix of x -> e_i x, rows indexed by output coordinate
-        return [[self.tensor[i][j][m] for j in range(self.n)] for m in range(self.n)]
-
-    def _right_mult_rows(self, i: int) -> list[Vec]:
-        return [[self.tensor[j][i][m] for j in range(self.n)] for m in range(self.n)]
+        """x with e_i x = x e_i for every i: the kernel of the rows (i, m),
+        coordinate m of e_i e_j + e_j e_i as j runs."""
+        n, T = self.n, self.tensor
+        rows = [[T[i][j][m] ^ T[j][i][m] for j in range(n)] for i in range(n) for m in range(n)]
+        return Subspace(self.ctx, n, nullspace_rows(self.ctx, rows, n))
 
     def is_commutative(self) -> tuple[int, int] | None:
         """None when commutative, else the first noncommuting basis pair."""

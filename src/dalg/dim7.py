@@ -36,7 +36,7 @@ from .algebra import (
     verify_morphism,
 )
 from .errors import NeedsExtension, NotApplicable, TheoremViolation
-from .gf2k import Fe, FieldCtx, fe_sqrt, field, field_extend, quad_roots
+from .gf2k import Fe, FieldCtx, field, field_extend, quad_roots
 from .linalg import CoordSolver, Matrix, Subspace
 from .polyd import PAlgebra, Presentation, quotient_to_dalgebra
 
@@ -245,7 +245,7 @@ def classify7(a: DAlgebra) -> CanonicalForm7:
     ws = []
     for z in (z1, z2):
         a0 = ker_solver.coords(a.mul(z, z))[0]
-        s = fe_sqrt(ctx, a0)
+        s = ctx.sqrt(a0)
         ws.append([zc ^ ctx.mul(s, oc) for zc, oc in zip(z, one)])
     w1, w2 = ws
     w3 = a.mul(v1, w2)
@@ -324,7 +324,7 @@ def _diagonalize(ctx: FieldCtx, h: Fe, k: Fe, p: Fe) -> tuple[Fe, Morphism]:
     alpha, beta = quad_roots(ctx, k, 1, h)
     q = ctx.mul(alpha, k)
     e = tgt.basis_vec
-    sp = fe_sqrt(ctx, p)
+    sp = ctx.sqrt(p)
     us = []
     for root in (alpha, beta):
         u = [ac ^ ctx.mul(root, bc) for ac, bc in zip(e(3), e(4))]
@@ -379,7 +379,7 @@ def kill_q(ctx: FieldCtx, q: Fe) -> Morphism:
     src = make_D(ctx, 0, 0, 0)
     tgt = make_D(ctx, 0, 0, q)
     e = tgt.basis_vec
-    sq = fe_sqrt(ctx, q)
+    sq = ctx.sqrt(q)
     x1 = [ctx.mul(sq, ac) ^ bc for ac, bc in zip(e(1), e(3))]
     x2 = [ctx.mul(sq, ac) ^ bc for ac, bc in zip(e(2), e(4))]
     cols = [tgt.unit_vec(), e(1), e(2), x1, x2, tgt.mul(e(1), e(2)), tgt.mul(e(1), x2)]

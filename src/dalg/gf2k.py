@@ -185,11 +185,6 @@ def field(k: int) -> FieldCtx:
     return FieldCtx(k)
 
 
-def fe_sqrt(ctx: FieldCtx, a: Fe) -> Fe:
-    """Square root via a^(2^(k-1)); total and involutive with squaring."""
-    return ctx.sqrt(a)
-
-
 def quad_roots(ctx: FieldCtx, a: Fe, b: Fe, c: Fe) -> tuple[Fe, ...]:
     """Roots in GF(2^k) of a t^2 + b t + c, with a and b not both zero.
 

@@ -8,8 +8,11 @@ column, the Frobenius powers v^(2^t) of a basis, 2^t at least its
 dimension: e_i^(2^t) for the nilradical, and for the characters the
 powers of the canonical basis of Ker(d).  One split of those powers gives
 the primitive idempotents, the characters through them and so the
-factors of :func:`decompose`.  The defect (dim Ker - dim Im) bounds the
-number of factors, and defect-1 algebras carry a rigid normal basis.
+factors of :func:`decompose`.  The split reads x -> x e from term lists,
+and each character is checked as a morphism onto F (d = 0) by
+:func:`~dalg.algebra.verify_morphism`.  The defect (dim Ker - dim Im)
+bounds the number of factors, and defect-1 algebras carry a rigid normal
+basis.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
     TheoremViolation,
     WrongDefect,
 )
-from .gf2k import Fe, FieldCtx, fe_sqrt
+from .gf2k import Fe, FieldCtx
 from .ideals import DIdeal, close, ideal_intersect, nilpotency_index
 from .linalg import CoordSolver, Matrix, Subspace, solve_lex_least
 from .unipoly import UniPoly, poly_roots, squarefree_part
@@ -102,12 +105,6 @@ def _multiple(ctx: FieldCtx, e, s):
     return c if [ctx.mul(c, x) for x in e] == s else None
 
 
-def _times(a: DAlgebra, e) -> Matrix:
-    """The map x -> x e as a matrix: one product by e then costs n^2 field
-    multiplications, where a dense structure-constant product costs n^3."""
-    return Matrix.from_cols(a.ctx, [a.mul(a.basis_vec(i), e) for i in range(a.n)], a.n)
-
-
 def _split_idempotents(a: DAlgebra, t: int, cols: list) -> list:
     """Primitive idempotents e, each with the scalars c where g^q e = c e.
 
@@ -120,34 +117,34 @@ def _split_idempotents(a: DAlgebra, t: int, cols: list) -> list:
     element s of the corner's canonical basis (in the coordinates of 1 and
     the independent columns) that is no multiple of e cuts it: s is the
     q-th power of a semisimple x, so its minimal polynomial has the degree
-    of x's and the roots r^q for x's roots r.  Lagrange interpolation at
-    them cuts e into smaller idempotents, queued in the order of the r.
+    of x's and the roots r^q for x's roots r; e, s, s^2, ... go into one
+    echelon until a power lies in the span of the earlier ones, and its
+    coordinates on them give the polynomial.  Lagrange interpolation at
+    the roots cuts e into smaller idempotents, queued in the order of the r.
     Raises :class:`NonSplit` when the polynomial has too few roots in the
     field (a residue field is a proper extension).
     """
-    ctx = a.ctx
+    ctx, n = a.ctx, a.n
     unit = a.unit_vec()
-    solver = Subspace(ctx, a.n, [unit])
+    solver = Subspace(ctx, n, [unit])
     basis = [unit] + [c for c in cols if solver.add(c) is not None]
-    span = Matrix.from_cols(ctx, basis, a.n)
+    span = Matrix.from_cols(ctx, basis, n)
     queue = [unit]
     out = []
     while queue:
         e = queue.pop()
-        times_e = _times(a, e)
-        corner = Subspace(ctx, len(basis), [solver.coords(times_e.mul_vec(b)) for b in basis])
+        U = a._times([_nonzero(e)])[0]  # x e = sum_m x_m U[m]
+        cols_e = [_contract(ctx, [0] * n, _nonzero(f), U) for f in cols]
+        corner = Subspace(ctx, len(basis), [solver.coords(x) for x in [e] + cols_e])
         if corner.dim == 1:
-            out.append((e, [_multiple(ctx, e, times_e.mul_vec(f)) for f in cols]))
+            out.append((e, [_multiple(ctx, e, x) for x in cols_e]))
             continue
         rows = [span.mul_vec(r) for r in corner.rows]
         s = next((x for x in rows if _multiple(ctx, e, x) is None), e)
-        powers = [e, s]
-        while True:
-            null = Matrix.from_cols(ctx, powers, a.n).nullspace()
-            if null:
-                break
+        powers, echelon = [e, s], Subspace(ctx, n, [e])
+        while echelon.add(powers[-1]) is not None:
             powers.append(a.mul(powers[-1], s))
-        mu = UniPoly(ctx, null[0]).monic()
+        mu = UniPoly(ctx, echelon.coords(powers[-1]) + [1])
         if squarefree_part(mu).degree != mu.degree:
             raise TheoremViolation(
                 f"minimal polynomial of [{_hex(ctx, s)}] in the corner of "
@@ -166,29 +163,31 @@ def _split_idempotents(a: DAlgebra, t: int, cols: list) -> list:
                 if s2 != r:
                     num = num * UniPoly(ctx, (s2, 1))
             coeffs = num.scale(ctx.inv(num(r))).coeffs
-            val = Matrix.from_cols(ctx, powers[: len(coeffs)], a.n).mul_vec(coeffs)
+            val = Matrix.from_cols(ctx, powers[: len(coeffs)], n).mul_vec(coeffs)
             if not any(val) or val == e:
                 raise TheoremViolation(
                     f"splitting idempotent [{_hex(ctx, e)}] along "
                     f"[{_hex(ctx, s)}] yields no new piece"
                 )
             queue.append(val)
-        if len(out) + len(queue) > a.n:
+        if len(out) + len(queue) > n:
             raise TheoremViolation(
                 f"splitting idempotent [{_hex(ctx, e)}] along "
-                f"[{_hex(ctx, s)}] gives more than {a.n} pieces"
+                f"[{_hex(ctx, s)}] gives more than {n} pieces"
             )
     out.sort()
-    total = [0] * a.n
+    total = [0] * n
     for i, (e, _) in enumerate(out):
         if a.mul(e, e) != e or any(a.d(e)):
             raise TheoremViolation(f"split element [{_hex(ctx, e)}] is not a flat idempotent")
         total = [x ^ y for x, y in zip(total, e)]
         for f, _ in out[i + 1 :]:
             if any(a.mul(e, f)):
-                raise TheoremViolation("primitive idempotents fail orthogonality")
+                raise TheoremViolation(
+                    f"primitive idempotents [{_hex(ctx, e)}] and [{_hex(ctx, f)}] fail orthogonality"
+                )
     if total != unit:
-        raise TheoremViolation("primitive idempotents do not sum to 1")
+        raise TheoremViolation(f"primitive idempotents sum to [{_hex(ctx, total)}], not to 1")
     return out
 
 
@@ -220,30 +219,28 @@ def characters(a: DAlgebra) -> list:
     :func:`_split_idempotents` on the powers k^q of its canonical basis k
     gives e and lam(k)^q for the character lam through e.  x in Ker(d) is
     sum x[p] k over the pivots p, and every square lies in Ker(d), so
-    lam(e_j) is the square root of lam(e_j^2).  The list is sorted by
-    coefficient row; its length is the number of local factors.
+    lam(e_j) is the square root of lam(e_j^2).  Each lam is verified as a
+    morphism onto the 1-dimensional F with d = 0: unit, d-equivariance
+    (lam kills Im(d)) and multiplicativity; a failure names e and the
+    first failing law.  The list is sorted by coefficient row; its length
+    is the number of local factors.
     """
     ctx = a.ctx
     ker = a.ker_d()
     t, cols = _frobenius_powers(a, ker.rows)
     squares = Matrix(ctx, [a.tensor[j][j] for j in range(a.n)], a.n)
+    base = DAlgebra(ctx, [[[1]]], [[0]])
+    base.verify()
     out = []
     for e, scalars in _split_idempotents(a, t, cols):
         on_ker = [0] * a.n
         for p, c in zip(ker.pivots, scalars):
             on_ker[p] = _root(ctx, c, t)
         functional = [ctx.sqrt(c) for c in squares.mul_vec(on_ker)]
-        lam = Character(ctx, functional, e)
-        if lam.of(a.unit_vec()) != 1:
-            raise TheoremViolation("character misses 1 at the unit")
-        for i in range(a.n):
-            if lam.of(a.dmat.col(i)):
-                raise TheoremViolation("character fails to kill Im(d)")
-            li = functional[i]
-            for j in range(a.n):
-                if lam.of(a.tensor[i][j]) != ctx.mul(li, functional[j]):
-                    raise TheoremViolation("character fails multiplicativity")
-        out.append(lam)
+        rep = verify_morphism(Morphism(a, base, Matrix(ctx, [functional], a.n)))
+        if not rep.passed:
+            raise TheoremViolation(f"character through [{_hex(ctx, e)}] fails: {rep.failures[0]}")
+        out.append(Character(ctx, functional, e))
     out.sort(key=lambda c: tuple(c.functional))
     return out
 
@@ -317,8 +314,10 @@ def decompose(a: DAlgebra) -> Decomposition:
     df = defect(a)
     if len(factors) > df:
         raise TheoremViolation(f"more local factors than the defect allows: {len(factors)} > {df}")
-    if sum(defect(f) for f in factors) != df:
-        raise TheoremViolation("defect fails to add up over the factors")
+    dfs = [defect(f) for f in factors]
+    if sum(dfs) != df:
+        terms = " + ".join(map(str, dfs))
+        raise TheoremViolation(f"defect fails to add up over the factors: {terms} != {df}")
     for i, f in enumerate(factors):
         if not is_local(f):
             raise TheoremViolation(f"a factor is not local: factor {i} of dimension {f.n}")
@@ -358,7 +357,7 @@ def defect_one_basis(a: DAlgebra) -> Defect1Basis:
     for v in vs:
         z = solve_lex_least(ctx, a.dmat, v)
         a0 = ksolver.coords(a.mul(z, z))[0]
-        s = fe_sqrt(ctx, a0)
+        s = ctx.sqrt(a0)
         w = [zc ^ ctx.mul(s, uc) for zc, uc in zip(z, unit)]
         if a.d(w) != v:
             raise TheoremViolation("adjusted preimage lost its d image")

@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 
 from dalg import AssocAlgebra2, CoordSolver, DAlgebra, Inconsistent, Matrix, Morphism, Subspace, field
-from dalg.algebra import AxiomReport, _contract, _nonzero
-from dalg.linalg import rref_rows
+from dalg.algebra import AxiomReport, _contract, _nonzero, vec_xor
+from dalg.linalg import nullspace_rows, rref_rows
 from dalg.gf2k import FieldCtx
 from dalg.pbw import ConfluenceReport, StraightenCtx, TElem, _add_into, _relations, standard_words
 
@@ -35,6 +35,19 @@ def unital_gf2_dim3(cls=AssocAlgebra2):
         for s, (i, j) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2)]):
             tensor[i][j] = [bits >> (3 * s + m) & 1 for m in range(3)]
         yield cls(ctx, tensor, Matrix.zeros(ctx, 3, 3))
+
+
+def stacked_center(a) -> Subspace:
+    """The centre as the kernel of L_i - R_i stacked over i, where L_i and
+    R_i are the matrices of x -> e_i x and x -> x e_i, rows indexed by the
+    output coordinate."""
+    n, T = a.n, a.tensor
+    rows = []
+    for i in range(n):
+        left = [[T[i][j][m] for j in range(n)] for m in range(n)]
+        right = [[T[j][i][m] for j in range(n)] for m in range(n)]
+        rows.extend(vec_xor(u, v) for u, v in zip(left, right))
+    return Subspace(a.ctx, n, nullspace_rows(a.ctx, rows, n))
 
 
 def truncated_poly_algebra(ctx: FieldCtx, m: int) -> DAlgebra:

@@ -46,6 +46,7 @@ from helpers import (
     random_dim7,
     rebuilt,
     square_corrupted,
+    stacked_center,
     tiny_d_algebra,
     truncated_poly_algebra,
     unital_gf2_dim3,
@@ -581,6 +582,20 @@ def test_jacobi_seven_term_matches_dense_loop(k):
 
 
 # -- term lists stay in step with the tensor --------------------------------------
+
+
+def test_center_matches_the_stacked_oracle():
+    e01 = Matrix(field(8), [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    gl3 = gl_object(3, e01)
+    assert type(gl3) is AssocAlgebra2 and gl3.center() == stacked_center(gl3) and gl3.center().dim == 1
+    for k in KS:
+        ctx = field(k)
+        rng = random.Random(900 + k)
+        for _ in range(3):
+            d = make_D(ctx, ctx.rand(rng), ctx.rand(rng), ctx.rand(rng))
+            assert d.center() == stacked_center(d) and d.center().dim == 5
+        for a in dense_products(k):
+            assert a.center() == stacked_center(a)
 
 
 def nonzero_terms(a):

@@ -18,6 +18,7 @@ from dalg import (
     DAlgebra,
     Matrix,
     algebra,
+    characters,
     decompose,
     direct_product_many,
     dumps,
@@ -129,12 +130,13 @@ def test_no_report_is_passed_on_from_an_unproven_source():
 
 @pytest.fixture
 def multiplicative_rows(monkeypatch):
-    """Records len(rows) of every multiplicativity scan."""
-    sizes = []
+    """Records len(rows) of every multiplicativity scan: under "character"
+    the scans of maps onto the 1-dimensional F, under "other" the rest."""
+    sizes = {"character": [], "other": []}
     scan = algebra._multiplicative_failures
 
     def spy(m, fterms, rows):
-        sizes.append(len(rows))
+        sizes["character" if m.target.n == 1 else "other"].append(len(rows))
         return scan(m, fterms, rows)
 
     monkeypatch.setattr(algebra, "_multiplicative_failures", spy)
@@ -142,11 +144,24 @@ def multiplicative_rows(monkeypatch):
 
 
 def test_decompose_checks_the_isomorphism_on_generators(multiplicative_rows):
+    scans = multiplicative_rows["other"]
     for a in passing_inputs():
-        multiplicative_rows.clear()
+        scans.clear()
         decompose(a)
-        assert multiplicative_rows == [len(a.generators())] and len(a.generators()) < a.n
+        assert scans == [len(a.generators())] and len(a.generators()) < a.n
         # with no report on the source, every row is scanned
-        multiplicative_rows.clear()
+        scans.clear()
         decompose(rebuilt(a))
-        assert multiplicative_rows == [a.n]
+        assert scans == [a.n]
+
+
+def test_characters_check_each_character_on_generators(multiplicative_rows):
+    scans = multiplicative_rows["character"]
+    for a in passing_inputs():
+        scans.clear()
+        count = len(characters(a))
+        assert scans == [len(a.generators())] * count and count > 1
+        # with no report on the input, every row is scanned
+        scans.clear()
+        characters(rebuilt(a))
+        assert scans == [a.n] * count

@@ -22,7 +22,6 @@ from dalg import (
 from dalg import structure
 from dalg.algebra import quotient, subalgebra
 from dalg.dim7 import make_D
-from dalg.gf2k import fe_sqrt
 from dalg.linalg import CoordSolver, min_poly, solve
 from dalg.unipoly import UniPoly, poly_roots, squarefree_part
 from dalg.structure import (
@@ -366,7 +365,7 @@ def corner_residue_characters(a) -> list:
         for j in range(a.n):
             ej = a.basis_vec(j)
             sq = ksolver.coords(a.mul(ej, ej))
-            functional.append(fe_sqrt(ctx, lam_k(sq)))
+            functional.append(ctx.sqrt(lam_k(sq)))
         lam = structure.Character(ctx, functional, incl.apply(e))
         if lam.of(a.unit_vec()) != 1:
             raise TheoremViolation("character misses 1 at the unit")
@@ -761,6 +760,64 @@ def test_decompose_names_both_counts_when_the_defect_is_exceeded(monkeypatch):
     with pytest.raises(TheoremViolation) as exc:
         decompose(a)
     assert str(exc.value) == "more local factors than the defect allows: 2 > 1"
+
+
+def three_local_factors():
+    # the split of 1 takes two steps here, each along an element whose
+    # minimal polynomial has degree 2
+    ctx = field(4)
+    return direct_product_many(
+        [truncated_poly_algebra(ctx, 2), tiny_d_algebra(ctx), field_as_algebra(ctx)]
+    )[0]
+
+
+def test_split_names_two_idempotents_that_fail_orthogonality(monkeypatch):
+    # distinct vectors are forged to multiply to the first one; on this
+    # input the split multiplies only equal vectors (squares), so only the
+    # final check sees the forgery
+    a = three_local_factors()
+    real = a.mul
+    monkeypatch.setattr(a, "mul", lambda x, y: real(x, y) if x == y else list(x))
+    with pytest.raises(TheoremViolation) as exc:
+        characters(a)
+    assert str(exc.value) == (
+        "primitive idempotents [0x0 0x0 0x0 0x0 0x0 0x1] and "
+        "[0x0 0x0 0x1 0x0 0x0 0x0] fail orthogonality"
+    )
+
+
+def test_split_names_the_sum_that_is_not_1(monkeypatch):
+    # a repeated last root queues its piece twice, and the forged product
+    # lets the twin pass for orthogonal to its copy, so two pieces cancel
+    a = three_local_factors()
+    monkeypatch.setattr(structure, "poly_roots", lambda p: poly_roots(p) + poly_roots(p)[-1:])
+    real = a.mul
+    monkeypatch.setattr(a, "mul", lambda x, y: [0] * a.n if x is not y and x == y else real(x, y))
+    with pytest.raises(TheoremViolation) as exc:
+        characters(a)
+    assert str(exc.value) == "primitive idempotents sum to [0x1 0x0 0x1 0x0 0x0 0x1], not to 1"
+
+
+def test_characters_name_the_idempotent_of_a_forged_character(monkeypatch):
+    # every scalar the split reads off a primitive corner is off by 1
+    multiple = structure._multiple
+    monkeypatch.setattr(
+        structure, "_multiple", lambda ctx, e, s: None if (c := multiple(ctx, e, s)) is None else c ^ 1
+    )
+    with pytest.raises(TheoremViolation) as exc:
+        characters(three_local_factors())
+    assert str(exc.value) == (
+        "character through [0x0 0x0 0x0 0x0 0x0 0x1] fails: unit fails at (): (0,) != (1,)"
+    )
+
+
+def test_decompose_names_the_defects_that_fail_to_add_up(monkeypatch):
+    a = three_local_factors()
+    defect_of = structure.defect
+    monkeypatch.setattr(structure, "defect", lambda b: defect_of(b) + (b is not a))
+    with pytest.raises(TheoremViolation) as exc:
+        decompose(a)
+    assert str(exc.value) == "defect fails to add up over the factors: 3 + 2 + 2 != 4"
 
 
 # ---------------------------------------------------------- defect-1 basis
