@@ -228,6 +228,11 @@ class StructureConstants:
         rhs = _contract(ctx, [0] * n, dterms[i], cols[j])
         return lhs, _contract(ctx, rhs, dterms[j], terms[i])
 
+    def _d_squared(self, rep: AxiomReport, dterms) -> None:
+        """Record d_squared, with the dense d^2, when some d(d(e_j)) is nonzero."""
+        if any(any(_contract(self.ctx, [0] * self.n, dj, dterms)) for dj in dterms):
+            rep.record("d_squared", (), tuple(map(tuple, self.dmat.mul(self.dmat).rows)), ((),))
+
     def transport(self, basis: Sequence[Sequence[Fe]], coords) -> tuple[list, list]:
         """(tensor, dcols) with tensor[i][j] = coords(b_i b_j), then dcols[j] =
         coords(d(b_j)), for b the rows of ``basis``; see the module docstring."""
@@ -305,10 +310,8 @@ class AssocAlgebra2(StructureConstants):
             if rhs != e:
                 rep.record("right_unit", (i,), rhs, e)
         derivation = AxiomReport(rep.kind)
-        dd = self.dmat.mul(self.dmat)
-        if not dd.is_zero():
-            derivation.record("d_squared", (), tuple(map(tuple, dd.rows)), ((),))
         dterms = self._d_terms()
+        self._d_squared(derivation, dterms)
         for i in range(n):
             for j in range(n):
                 lhs, rhs = self._leibniz_sides(dterms, cols, i, j)

@@ -3,16 +3,15 @@
 An ideal here is a subspace closed under d and under multiplication by the
 whole algebra.  Because Im(d) is central and products differ from their
 swaps by elements of Im(d)*Im(d), a subspace closed on the left and under
-d is automatically closed on the right; :func:`close` checks the closed
-span with :func:`~dalg.algebra.is_d_ideal` anyway and treats a failure as
-evidence of a broken input algebra.
+d is automatically closed on the right; :func:`close` checks it anyway
+and treats a failure as evidence of a broken input algebra.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .algebra import AssocAlgebra2, is_d_ideal
+from .algebra import AssocAlgebra2, _contract, _nonzero
 from .errors import AmbientMismatch, TheoremViolation
 from .gf2k import Fe
 from .linalg import Subspace
@@ -74,12 +73,14 @@ def close(a: AssocAlgebra2, gens: Sequence[Sequence[Fe]]) -> DIdeal:
     """Smallest d-closed two-sided ideal containing the generators.
 
     Grows the span by d-images and left multiples until it stabilizes,
-    then checks it with :func:`~dalg.algebra.is_d_ideal`; by centrality of
-    Im(d) the right check cannot fail for a genuine d-algebra, so a failure
-    raises :class:`TheoremViolation` rather than growing further.
+    then checks its right multiples on term lists; by centrality of Im(d)
+    that check cannot fail for a genuine d-algebra, so a failure raises
+    :class:`TheoremViolation` rather than growing further.
     """
     span = a.closure(gens, [a.basis_vec(i) for i in range(a.n)])
-    if not is_d_ideal(a, span):
+    n, ctx, cols = a.n, a.ctx, a._columns()
+    rights = (_contract(ctx, [0] * n, _nonzero(r), col) for r in span.rows for col in cols)
+    if not all(map(span.contains, rights)):
         raise TheoremViolation(
             "left-and-d-closed span is not right closed; "
             "the ambient algebra violates twisted commutativity"

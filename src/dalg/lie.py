@@ -67,11 +67,9 @@ def verify_lie(L: LieAlgebra2) -> AxiomReport:
     rep = AxiomReport("lie2")
     n, ctx = L.n, L.ctx
     T, terms = L.tensor, L.terms
-    dd = L.dmat.mul(L.dmat)
-    if not dd.is_zero():
-        rep.record("d_squared", (), tuple(map(tuple, dd.rows)), ((),))
     cols = L._columns()
     dterms = L._d_terms()
+    L._d_squared(rep, dterms)
     U = L._times(dterms)
     for i in range(n):
         for j in range(n):

@@ -6,10 +6,11 @@ deterministic and allocation-happy rather than clever: dimensions in this
 package stay small (tens, not thousands).
 
 Matrices are treated as immutable once constructed; all operations return
-fresh objects.  A :class:`Subspace` is the one incremental echelon: it
-grows by :meth:`Subspace.add`, and every span, closure and coordinate map
-in the package is built that way.  No one adds to a Subspace after handing
-it out or comparing it; :func:`extend_basis` grows a copy.
+fresh objects.  A :class:`Subspace` is the one dense incremental echelon:
+every span, closure and coordinate map is grown by :meth:`Subspace.add`
+except the wide, sparse relation span of a presentation quotient, which a
+:class:`SparseEchelon` holds.  No one adds to a Subspace after handing it
+out or comparing it; :func:`extend_basis` grows a copy.
 """
 
 from __future__ import annotations
@@ -344,6 +345,61 @@ class Subspace:
         if out[:n] != list(v[:n]) or any(v[n:]):
             raise Inconsistent("vector outside the span of the basis")
         return out[n:]
+
+
+class SparseEchelon:
+    """Row space of sparse vectors ({column: coefficient} dicts) in the
+    canonical RREF that :class:`Subspace` keeps for their dense forms.
+
+    ``rows`` maps each pivot, the smallest column of its row, to the row,
+    which is 0 at every other pivot: reducing a vector subtracts the rows
+    at the pivots it touches and never cascades.  ``_at`` maps each other
+    column to the pivots whose rows are nonzero there, the rows a new pivot
+    is eliminated from.
+    """
+
+    __slots__ = ("ctx", "rows", "_at")
+
+    def __init__(self, ctx: FieldCtx):
+        self.ctx = ctx
+        self.rows: dict[int, dict] = {}
+        self._at: dict[int, set] = {}
+
+    def _axpy(self, out: dict, f: Fe, row: dict) -> None:
+        mul = self.ctx.mul
+        for c, y in row.items():
+            x = out.get(c, 0) ^ mul(f, y)
+            if x:
+                out[c] = x
+            else:
+                del out[c]
+
+    def reduce(self, v: dict) -> dict:
+        """Residual of v after eliminating every pivot coordinate."""
+        out = dict(v)
+        for p in [c for c in v if c in self.rows]:
+            self._axpy(out, v[p], self.rows[p])
+        return out
+
+    def add(self, v: dict) -> bool:
+        """Put v in the span; False when it already lies there."""
+        r = self.reduce(v)
+        if not r:
+            return False
+        p = min(r)
+        if r[p] != 1:
+            f = self.ctx.inv(r[p])
+            r = {c: self.ctx.mul(f, x) for c, x in r.items()}
+        rest, at = r.keys() - {p}, self._at
+        for c in rest:
+            at.setdefault(c, set()).add(p)
+        for q in at.pop(p, ()):
+            row = self.rows[q]
+            self._axpy(row, row[p], r)
+            for c in rest:
+                (at[c].add if c in row else at[c].discard)(q)
+        self.rows[p] = r
+        return True
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:

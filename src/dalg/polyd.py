@@ -31,7 +31,7 @@ from .errors import (
 from .gf2k import Fe, FieldCtx
 # rref_rows is not called here; perfbench/test_perfbench.py checks that its
 # tracer rebinds this module's name for it, so the name stays bound
-from .linalg import Matrix, Subspace, nullspace_rows, rref_rows  # noqa: F401
+from .linalg import Matrix, SparseEchelon, nullspace_rows, rref_rows  # noqa: F401
 
 __all__ = [
     "PMono",
@@ -332,9 +332,9 @@ def _tuples_bounded(length: int, total: int) -> Iterable[tuple[int, ...]]:
 
 # enumerate_monomials refuses a free algebra with more normal monomials than
 # this.  They index the columns of a quotient's relation span, which has up
-# to 1 + r rows per relation and monomial, so its elimination grows with the
-# cube of their number; the largest count a shipped input or benchmark
-# workload reaches is 501.
+# to 1 + r rows per relation and monomial, each reduced at the pivots it
+# touches; the largest count a shipped input or benchmark workload reaches
+# is 501.
 MAX_MONOMIALS = 4096
 
 # quotient_to_dalgebra refuses a quotient whose dense tensor holds more than
@@ -388,7 +388,9 @@ def quotient_to_dalgebra(pres: Presentation) -> DAlgebra:
     monomial times a central xi_i, so it is the span of m * rel and of
     m * xi_i * d(rel) for the monomials m that fit; conversely
     xi_i d(rel) = x_i rel + rel x_i.  Coset representatives are the
-    monomials missing from the span's pivot set.  Products of
+    monomials missing from the span's pivot set; the span is a
+    :class:`~dalg.linalg.SparseEchelon` of {column: coefficient} rows, so
+    coset coordinates are read off a sparse residual.  Products of
     representatives must stay inside the bound and reduce into the
     representative span, and the result must pass :meth:`DAlgebra.verify`
     (a relation multiple cut off by the bound can leave it
@@ -415,16 +417,13 @@ def quotient_to_dalgebra(pres: Presentation) -> DAlgebra:
     def beyond(who: str) -> NotClosedAtBound:
         return NotClosedAtBound(f"{who} has degree beyond the bound {bound}; raise the bound")
 
-    def coords(el: PElem, who: str) -> list[Fe]:
-        v = [0] * nm
-        for m, c in el.terms.items():
-            j = rev.get(m)
-            if j is None:
-                raise beyond(who)
-            v[j] = c
-        return v
+    def coords(el: PElem, who: str) -> dict:
+        try:
+            return {rev[m]: c for m, c in el.terms.items()}
+        except KeyError:
+            raise beyond(who) from None
 
-    rows: set[tuple[Fe, ...]] = set()
+    span = SparseEchelon(ctx)
     for rel in pres.relations:
         if rel.is_zero():
             continue  # degree -1 would index past upto, and spans nothing
@@ -435,15 +434,13 @@ def quotient_to_dalgebra(pres: Presentation) -> DAlgebra:
             lefts += [(pa.xi(i) * drel, room - 1) for i in range(1, pa.r + 1)]
         for el, r in lefts:
             for m in monos[: upto[r]]:
-                rows.add(tuple(coords(PElem(pa, {m: 1}) * el, "relation multiple")))
-    span = Subspace(ctx, nm, rows)
+                span.add(coords(PElem(pa, {m: 1}) * el, "relation multiple"))
 
     for rel in pres.relations:
-        if not span.contains(coords(rel.d(), "d of a relation")):
+        if span.reduce(coords(rel.d(), "d of a relation")):
             raise RelationsNotDClosed(f"d of relation {rel!r} is not in the relation span")
 
-    pivots = set(span.pivots)
-    basis = [m for m in monos if rev[m] not in pivots]
+    basis = [m for m in monos if rev[m] not in span.rows]
     if not basis or basis[0] != pa.one_mono():
         raise NotApplicable("relations collapse the unit monomial; no bounded quotient")
     n = len(basis)
@@ -453,11 +450,14 @@ def quotient_to_dalgebra(pres: Presentation) -> DAlgebra:
             f" more than the {MAX_TENSOR_ENTRIES} this package stores; lower the bound"
         )
 
-    basis_cols = [rev[m] for m in basis]
+    # a residual is zero at every pivot, so each of its columns is a representative's
+    index = {rev[m]: i for i, m in enumerate(basis)}
 
     def coset_coords(el: PElem, who: str) -> list[Fe]:
-        v = span.reduce(coords(el, who))
-        return [v[j] for j in basis_cols]
+        out = [0] * n
+        for j, c in span.reduce(coords(el, who)).items():
+            out[index[j]] = c
+        return out
 
     tensor = []
     for mi in basis:

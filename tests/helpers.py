@@ -401,6 +401,18 @@ def right_product_span(a: DAlgebra, gens) -> Subspace:
         span = grown
 
 
+def sparse_vec(v) -> dict:
+    """A dense vector as the {column: coefficient} dict a SparseEchelon takes."""
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def sparse_rref(echelon, ambient: int) -> tuple:
+    """A SparseEchelon's (rows, pivots) as a Subspace holds them: dense rows
+    in pivot order."""
+    pivots = tuple(sorted(echelon.rows))
+    return [[echelon.rows[p].get(j, 0) for j in range(ambient)] for p in pivots], pivots
+
+
 def two_sided_relation_span(pres) -> Subspace:
     """Span of u * rel * v over every relation and every pair of monomials
     u, v that fits inside the bound, built pair by pair.

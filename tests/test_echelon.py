@@ -4,7 +4,8 @@
 batch constructor (one ``rref_rows`` over every vector), the augmented
 coordinate solver, the per-pick ``extend_basis`` and the restart-style
 closure and ``generators``.  The corpus mixes random, duplicate, dependent
-and zero vectors over GF(2), GF(2^8) and GF(2^16).
+and zero vectors over GF(2), GF(2^8) and GF(2^16).  ``SparseEchelon``, the
+presentation quotient's sparse twin, is checked against ``Subspace``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dalg import (
     quotient,
     subspace_intersect,
 )
+from dalg.linalg import SparseEchelon
 
 from helpers import (
     batch_subspace,
@@ -41,6 +43,8 @@ from helpers import (
     rebuild_extend_basis,
     restart_closure,
     restart_generators,
+    sparse_rref,
+    sparse_vec,
     tiny_d_algebra,
     TransformSolver,
     truncated_poly_algebra,
@@ -105,6 +109,35 @@ def test_add_keeps_the_batch_rref_and_refuses_exactly_members(k):
             after = batch_subspace(ctx, n, vecs[: t + 1])
             assert (span.rows, span.pivots) == (after.rows, after.pivots)
         assert Subspace(ctx, n, vecs) == span
+
+
+@pytest.mark.parametrize("k", (1, 8))
+def test_sparse_echelon_matches_the_subspace_on_sparse_rows(k):
+    """Rows of one to four nonzero entries in 40 columns, with duplicates
+    and combinations of earlier rows: after every add the pivots, rows and
+    residuals equal the dense Subspace's, and ``_at`` names exactly the
+    rows nonzero at each non-pivot column."""
+    ctx, n = field(k), 40
+    rng = random.Random(f"sparse-echelon:{k}")
+    for _ in range(6):
+        sparse, dense = SparseEchelon(ctx), Subspace(ctx, n)
+        vecs = []
+        for _ in range(rng.randrange(10, 50)):
+            if vecs and rng.random() < 0.3:
+                picks = rng.sample(vecs, min(2, len(vecs)))
+                v = combination(ctx, [ctx.rand(rng) for _ in picks], picks, n)
+            else:
+                v = [0] * n
+                for j in rng.sample(range(n), rng.randrange(1, 5)):
+                    v[j] = ctx.rand_nonzero(rng)
+            vecs.append(v)
+            assert sparse.add(sparse_vec(v)) == (dense.add(v) is not None)
+            assert sparse_rref(sparse, n) == (dense.rows, dense.pivots)
+            probe = [ctx.rand(rng) if rng.random() < 0.2 else 0 for _ in range(n)]
+            assert sparse_vec(dense.reduce(probe)) == sparse.reduce(sparse_vec(probe))
+        free = [c for c in range(n) if c not in sparse.rows]
+        at = {c: {q for q, row in sparse.rows.items() if c in row} for c in free}
+        assert {c: sparse._at.get(c, set()) for c in free} == at
 
 
 @pytest.mark.parametrize("k", FIELDS)

@@ -93,6 +93,17 @@ CASES = {
         "message: the quotient has dimension 400, so 64000000 structure constants,"
         " more than the 8388608 this package stores; lower the bound",
     ),
+    "not d-closed at deg 2047": (
+        ["invariants"],
+        "P(1,0) / [x1^3 + xi1] @ deg 2047",
+        "message: d of relation xi1 + x1^3 is not in the relation span",
+    ),
+    "x1^1000 at deg 2047": (
+        ["invariants"],
+        "P(1,0) / [x1^1000] @ deg 2047",
+        "message: the quotient has dimension 2000, so 8000000000 structure constants,"
+        " more than the 8388608 this package stores; lower the bound",
+    ),
     "index out of range": (
         ["invariants"],
         "P(2,0) / [x3] @ deg 2",

@@ -26,7 +26,7 @@ from dalg import (
     verify_morphism,
 )
 from dalg.linalg import Matrix
-from helpers import sorted_mono_mul, two_sided_relation_span
+from helpers import sorted_mono_mul, sparse_rref, sparse_vec, two_sided_relation_span
 
 
 def rand_elem(pa, rng, nterms=3, maxdeg=3):
@@ -483,15 +483,19 @@ def outcome(pres):
 
 def run_quotient(pres, oracle_span=None):
     """The outcome of quotient_to_dalgebra and the relation spans it built;
-    with oracle_span given, that span stands in for the one it builds."""
-    built, real = [], polyd.Subspace
+    with oracle_span (a dense Subspace) given, the span starts as its rows,
+    so the rows the quotient adds change it only if they lie outside."""
+    built, real = [], polyd.SparseEchelon
 
-    def spy(ctx, ambient, rows):
-        built.append(real(ctx, ambient, rows))
-        return built[-1] if oracle_span is None else oracle_span
+    def spy(ctx):
+        built.append(real(ctx))
+        if oracle_span is not None:
+            for r in oracle_span.rows:
+                built[-1].add(sparse_vec(r))
+        return built[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polyd, "Subspace", spy)
+        mp.setattr(polyd, "SparseEchelon", spy)
         got = outcome(pres)
     return got, built
 
@@ -499,8 +503,9 @@ def run_quotient(pres, oracle_span=None):
 def assert_matches_oracle(pres):
     oracle = two_sided_relation_span(pres)
     got, (built,) = run_quotient(pres)
-    assert (built.rows, built.pivots) == (oracle.rows, oracle.pivots)
-    want, _ = run_quotient(pres, oracle)
+    assert sparse_rref(built, oracle.ambient) == (oracle.rows, oracle.pivots)
+    want, (stood_in,) = run_quotient(pres, oracle)
+    assert sparse_rref(stood_in, oracle.ambient)[0] == oracle.rows
     assert got == want
     return got
 
